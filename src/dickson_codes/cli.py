@@ -18,7 +18,7 @@ from .cyclic import (DistanceConfig, bch_lower_bound, code_from_sequence,
 from .dickson import DicksonSpec, dickson_poly, shift_by_one
 from .galois import FieldError, ZERO, poly_str
 from .lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
-from .registry import load_registry
+from .registry import UnknownEntryError, load_registry
 from .verify import (NoTheoremApplies, TABLE_IDS, compare, predict,
                      run_table, table_distance_config)
 
@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FieldError, KeyError, NoTheoremApplies) as exc:
+    except (UsageError, FieldError, UnknownEntryError,
+            NoTheoremApplies) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

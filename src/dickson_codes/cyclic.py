@@ -4,7 +4,9 @@ minimum distance, weight distribution, and even-like subcodes.
 Distance strategy, in order:
 
 * **exhaustive** - if q^k fits under the enumeration cap, every codeword
-  is generated (GF(p)-linear batches) and the minimum weight is exact.
+  is generated once, in one pass: a table spanning the first generator
+  rows is translated by a q-ary Gray-code walk over the others, so the
+  minimum weight and its witness are exact.
 * **mitm** - otherwise weights w are swept upward from the BCH lower
   bound; each level runs a meet-in-the-middle match over syndromes of
   split supports.  A completed level with no match certifies that no
@@ -202,91 +204,68 @@ def even_like_subcode(code: CyclicCode) -> CyclicCode:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _prime_expansion(code: CyclicCode):
-    """G over GF(p) plus digit/code helpers for batch enumeration."""
-    F = code.field
-    st = F.subfield_tables()
-    p, t = F.p, F.t
+_SPAN_ROWS = 1 << 16  # rows of the spanned table, and of every block
+
+
+def codeword_blocks(code: CyclicCode):
+    """Yield every codeword exactly once, as uint8 blocks of subfield
+    codes with shape (block, n).
+
+    The GF(q)-span of the first ``a`` generator rows (q^a <= 2^16) is built
+    once as a table.  The span of the other k - a rows is walked in q-ary
+    Gray-code order, one scaled row added per step, and each block is the
+    table translated by the current outer codeword.  The working set is
+    that table plus one block, whatever q^k is.
+    """
+    st = code.field.subfield_tables()
+    q, n, k = code.q, code.n, code.k
     G = code.generator_matrix()
-    beta = F.subfield_step % (F.r - 1)
-    Gp = np.zeros((code.k * t, code.n * t), dtype=np.int64)
-    for s in range(t):
-        bcode = st.code_of_log(F.pow(beta, s))
-        block = st.digits[st.mul[bcode, G]]  # (k, n, t)
-        Gp[s::t] = block.reshape(code.k, code.n * t)
-    pack = p ** np.arange(t, dtype=np.int64)
-    digit_to_code = np.zeros(p**t, dtype=np.uint8)
-    for c in range(F.q):
-        digit_to_code[int(st.digits[c] @ pack)] = c
-    return Gp, pack, digit_to_code
+    a = 0
+    while a < k and q ** (a + 1) <= _SPAN_ROWS:
+        a += 1
+    # column-major: column j of every block is one table lookup per entry
+    low = np.zeros((n, 1), dtype=np.uint8)
+    for row in G[:a]:
+        scaled = st.mul[row]  # (n, q): scaled[j, c] = row[j] * c
+        low = st.add[low[:, None, :], scaled[:, :, None]].reshape(n, -1)
+    outer = np.zeros(n, dtype=np.uint8)
+    digits = [0] * (k - a)
+    for step in range(q ** (k - a)):
+        if step:
+            # modular Gray code: digit j = (trailing zeros of step in base
+            # q) advances by one, so the outer word gains one scaled row
+            j, rest = 0, step
+            while rest % q == 0:
+                j, rest = j + 1, rest // q
+            nxt = (digits[j] + 1) % q
+            delta = st.add[nxt, st.neg[digits[j]]]
+            outer = st.add[outer, st.mul[delta, G[a + j]]]
+            digits[j] = nxt
+        shift = st.add[outer]  # (n, q): shift[j, x] = outer[j] + x
+        block = np.empty_like(low)
+        for j in range(n):
+            np.take(shift[j], low[j], out=block[j])
+        yield block.T
 
 
-def _exhaustive_batches(code: CyclicCode, batch: int = 1 << 15,
-                        start: int = 0, stop: int | None = None):
-    """Yield (weights, digit-matrix) per message batch over [start, stop)."""
-    F = code.field
-    p, t = F.p, F.t
-    Gp, pack, digit_to_code = _prime_expansion(code)
-    kt = Gp.shape[0]
-    total = p**kt if stop is None else stop
-    place = p ** np.arange(kt, dtype=np.float64)
-    Gp_f = Gp.astype(np.float64)
-    for lo in range(start, total, batch):
-        hi = min(lo + batch, total)
-        idx = np.arange(lo, hi, dtype=np.float64)
-        digits = np.floor(idx[:, None] / place[None, :]) % p
-        cw = (digits @ Gp_f) % p  # exact: entries stay far below 2^53
-        cw = cw.astype(np.int64).reshape(hi - lo, code.n, t)
-        nz = cw.any(axis=2)
-        weights = nz.sum(axis=1)
-        yield weights, cw, digit_to_code, pack
-
-
-def _message_ranges(code: CyclicCode, workers: int) -> list[tuple[int, int]]:
-    total = code.q**code.k
-    if workers <= 1 or total < 1 << 16:
-        return [(0, total)]
-    step = -(-total // workers)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _exhaustive_distance(code: CyclicCode, workers: int = 1):
-    ranges = _message_ranges(code, workers)
-
-    def scan_min(span):
-        lo, hi = span
-        local = code.n + 1
-        for weights, *_ in _exhaustive_batches(code, start=lo, stop=hi):
-            w = weights[weights > 0]
-            if len(w):
-                local = min(local, int(w.min()))
-        return local
-
-    def scan_witness(span, best):
-        lo, hi = span
-        local = None
-        for weights, cw, digit_to_code, pack in _exhaustive_batches(
-                code, start=lo, stop=hi):
-            hits = np.nonzero(weights == best)[0]
-            if len(hits) == 0:
-                continue
-            codes = digit_to_code[(cw[hits] @ pack)]
-            cand = min(tuple(int(x) for x in row) for row in codes)
-            if local is None or cand < local:
-                local = cand
-        return local
-
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            best = min(pool.map(scan_min, ranges))
-            cands = list(pool.map(lambda s: scan_witness(s, best), ranges))
-    else:
-        best = scan_min(ranges[0])
-        cands = [scan_witness(ranges[0], best)]
-    # the minimum weight and the lexicographically smallest witness are
-    # order-independent, so the merge is deterministic for any worker count
-    witness = min(c for c in cands if c is not None)
-    return best, witness
+def _exhaustive_distance(code: CyclicCode) -> tuple[int, tuple[int, ...]]:
+    """Minimum weight and the lexicographically smallest codeword of that
+    weight, in one pass over all codewords."""
+    best_w, witness = code.n + 1, None
+    for block in codeword_blocks(code):
+        weights = np.count_nonzero(block, axis=1)
+        weights[weights == 0] = code.n + 1  # the zero codeword
+        w = int(weights.min())
+        if w > best_w:
+            continue
+        hits = block[weights == w]
+        first = np.lexsort(hits.T[::-1])[0]  # column 0 is the primary key
+        cand = tuple(int(x) for x in hits[first])
+        if w < best_w or cand < witness:
+            best_w, witness = w, cand
+    if witness is None or not code.contains(np.array(witness, dtype=np.int16)):
+        raise AssertionError("exhaustive enumeration produced a non-codeword")
+    return best_w, witness
 
 
 def weight_distribution(code: CyclicCode,
@@ -297,9 +276,11 @@ def weight_distribution(code: CyclicCode,
         raise ValueError(
             f"q^k = {code.q}^{code.k} exceeds the enumeration cap")
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    for weights, *_ in _exhaustive_batches(code):
-        counts += np.bincount(weights, minlength=code.n + 1)
-    assert counts.sum() == code.q**code.k
+    for block in codeword_blocks(code):
+        counts += np.bincount(np.count_nonzero(block, axis=1),
+                              minlength=code.n + 1)
+    if counts.sum() != code.q**code.k:
+        raise AssertionError("enumeration did not visit q^k codewords")
     return {w: int(c) for w, c in enumerate(counts) if c}
 
 

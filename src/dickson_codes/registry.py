@@ -22,6 +22,13 @@ from .galois import Field, FieldSpec
 ENV_VAR = "DICKSON_REGISTRY"
 
 
+class UnknownEntryError(KeyError):
+    """A registry field or table id that the data files do not hold."""
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     q: int
@@ -42,7 +49,7 @@ class Registry:
         key = (q, m)
         if key not in self._fields:
             if key not in self.entries:
-                raise KeyError(f"no registry entry for (q={q}, m={m})")
+                raise UnknownEntryError(f"no registry entry for (q={q}, m={m})")
             self._fields[key] = Field(self.entries[key].spec)
         return self._fields[key]
 

@@ -36,7 +36,7 @@ from .dickson import DicksonSpec
 from .galois import Field, ZERO
 from .lfsr import defining_sequence
 from .polyring import Poly, cyclotomic_coset, minimal_polynomial
-from .registry import Registry, default_registry
+from .registry import Registry, UnknownEntryError, default_registry
 
 TABLE_IDS = ("D1", "D2", "D3", "D4", "D5", "D7", "E", "MORE")
 
@@ -479,7 +479,8 @@ def load_errata() -> list[Erratum]:
 
 def load_table(table_id: str) -> list[TableRow]:
     if table_id not in TABLE_IDS:
-        raise KeyError(f"unknown table id {table_id!r}; one of {TABLE_IDS}")
+        raise UnknownEntryError(
+            f"unknown table id {table_id!r}; one of {TABLE_IDS}")
     text = (resources.files("dickson_codes.data")
             / f"tables/table_{table_id}.csv").read_text("utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]

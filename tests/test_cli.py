@@ -127,3 +127,30 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert strip_timing(out1) == strip_timing(out2)
+
+
+def test_unknown_table_id_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--id", "D9"])
+    assert exc.value.code == 2
+    assert "D9" in capsys.readouterr().err
+
+
+def test_table_field_missing_from_registry_exits_2(capsys, tmp_path):
+    target = tmp_path / "registry.txt"
+    target.write_text("2 1 3  1 1 0 1\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "table", "--id", "E",
+                             "--registry", str(target))
+    assert status == 2
+    assert err.startswith("error: no registry entry for")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    import dickson_codes.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run_table", broken)
+    with pytest.raises(KeyError):
+        main(["table", "--id", "E"])

@@ -1,17 +1,23 @@
 """Cyclic code construction, BCH bound, distance engine, weights."""
 
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
 from dickson_codes.cyclic import (DistanceConfig, bch_lower_bound,
                                   code_from_generator, code_from_sequence,
+                                  codeword_blocks,
                                   even_like_subcode, minimum_distance,
                                   parity_matrix_from_roots, row_space_rref,
                                   weight_distribution)
 from dickson_codes.dickson import DicksonSpec
 from dickson_codes.galois import ZERO
 from dickson_codes.lfsr import PeriodicSequence, defining_sequence
-from dickson_codes.polyring import Poly, minimal_polynomial
+from dickson_codes.polyring import (Poly, factor_xn_minus_1,
+                                    minimal_polynomial, reciprocal)
 from dickson_codes.registry import default_registry
 
 REG = default_registry()
@@ -134,10 +140,7 @@ def test_even_like_coordinate_sums_vanish():
         sub = even_like_subcode(c)
         st = sub.field.subfield_tables()
         if sub.q**sub.k <= 1 << 12:
-            from dickson_codes.cyclic import _exhaustive_batches
-
-            for _, cw, digit_to_code, pack in _exhaustive_batches(sub):
-                codes = digit_to_code[cw @ pack]
+            for codes in codeword_blocks(sub):
                 acc = np.zeros(len(codes), dtype=np.uint8)
                 for j in range(sub.n):
                     acc = st.add[acc, codes[:, j]]
@@ -171,12 +174,10 @@ def test_odd_even_distance_consistency():
     for c in [build(2, 4, "D", 3, "1"), build(3, 2, "D", 2, "-1")]:
         assert c.g(c.field.one) != ZERO
         st = c.field.subfield_tables()
-        from dickson_codes.cyclic import _exhaustive_batches
-
         d_even = None
         d_odd = None
-        for weights, cw, digit_to_code, pack in _exhaustive_batches(c):
-            codes = digit_to_code[cw @ pack]
+        for codes in codeword_blocks(c):
+            weights = np.count_nonzero(codes, axis=1)
             acc = np.zeros(len(codes), dtype=np.uint8)
             for j in range(c.n):
                 acc = st.add[acc, codes[:, j]]
@@ -253,3 +254,67 @@ def test_worker_count_does_not_change_results():
     r2 = run_table("E", workers=3)
     assert [(r.status, r.computed_d) for r in r1.rows] \
         == [(r.status, r.computed_d) for r in r2.rows]
+
+
+def small_cyclic_codes(cap):
+    """Cyclic codes whose generators are seeded random products of the
+    q-cyclotomic factors of x^n - 1, with q^k and q^(n-k) both <= cap."""
+    rng = random.Random(1206)
+    for q, m in [(2, 3), (2, 4), (3, 2), (4, 2), (5, 1), (7, 1), (8, 1),
+                 (9, 1)]:
+        F = REG.field(q, m)
+        factors = [g for _, g in factor_xn_minus_1(F.n, F)]
+        masks = list(range(1, (1 << len(factors)) - 1))
+        rng.shuffle(masks)
+        picked = 0
+        for mask in masks:
+            g = Poly.one(F)
+            for i, f in enumerate(factors):
+                if mask >> i & 1:
+                    g = g * f
+            k = F.n - g.degree
+            if q**k <= cap and q**(F.n - k) <= cap:
+                yield code_from_generator(F, g.monic())
+                picked += 1
+            if picked == 6:
+                break
+
+
+def krawtchouk(j, i, n, q):
+    return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s)
+               * math.comb(n - i, j - s) for s in range(j + 1))
+
+
+def test_weight_distribution_satisfies_macwilliams():
+    seen_q = set()
+    for c in small_cyclic_codes(1 << 16):
+        dual = code_from_generator(c.field, reciprocal(c.h))
+        assert dual.k == c.n - c.k
+        A = weight_distribution(c)
+        B = weight_distribution(dual)
+        for j in range(c.n + 1):
+            lhs = c.q**c.k * B.get(j, 0)
+            rhs = sum(a * krawtchouk(j, i, c.n, c.q) for i, a in A.items())
+            assert lhs == rhs, (c.q, c.n, c.k, j)
+        seen_q.add(c.q)
+    assert seen_q == {2, 3, 4, 5, 7, 8, 9}
+
+
+def test_exhaustive_witness_is_smallest_minimum_weight_codeword():
+    checked = 0
+    for c in small_cyclic_codes(1 << 10):
+        st = c.field.subfield_tables()
+        best = None
+        for msg in itertools.product(range(c.q), repeat=c.k):
+            if not any(msg):
+                continue
+            cw = Poly(c.field, [int(st.code_to_log[x]) for x in msg]) * c.g
+            codes = [st.code_of_log(x) for x in cw.coeffs]
+            codes += [0] * (c.n - len(codes))
+            key = (c.n - codes.count(0), tuple(codes))
+            best = key if best is None else min(best, key)
+        d = minimum_distance(c)
+        assert d.method == "exhaustive"
+        assert (d.value, d.witness) == best, (c.q, c.n, c.k)
+        checked += 1
+    assert checked >= 20
