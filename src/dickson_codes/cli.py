@@ -18,7 +18,7 @@ from .cyclic import (DistanceConfig, bch_lower_bound, code_from_sequence,
 from .dickson import DicksonSpec, dickson_poly, shift_by_one
 from .galois import FieldError, ZERO, poly_str
 from .lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
-from .registry import UnknownEntryError, load_registry
+from .registry import RegistryError, UnknownEntryError, load_registry
 from .verify import (NoTheoremApplies, TABLE_IDS, compare, predict,
                      run_table, table_distance_config)
 
@@ -98,10 +98,9 @@ def cmd_code(args) -> int:
     bch = bch_lower_bound(code) if code.k else None
     dist = None
     if args.distance != "none" and code.k:
-        cfg = DistanceConfig(w_max=args.wmax, workers=args.workers)
+        cfg = DistanceConfig(w_max=args.wmax)
         if args.distance == "bch":
-            cfg = DistanceConfig(w_max=1, isd_iterations=0,
-                                 full_enum_limit=1, workers=args.workers)
+            cfg = DistanceConfig(w_max=1, isd_iterations=0, full_enum_limit=1)
         dist = minimum_distance(code, cfg)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     payload = {
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exact")
     p.add_argument("--format", choices=["text", "json", "csv"], default="json")
     p.add_argument("--wmax", type=int, default=13)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("table", help="reproduce a printed code table")
@@ -237,7 +235,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FieldError, UnknownEntryError,
+    except (UsageError, FieldError, RegistryError, UnknownEntryError,
             NoTheoremApplies) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,15 @@ Distance strategy, in order:
   rows is translated by a q-ary Gray-code walk over the others, so the
   minimum weight and its witness are exact.
 * **mitm** - otherwise weights w are swept upward from the BCH lower
-  bound; each level runs a meet-in-the-middle match over syndromes of
-  split supports.  A completed level with no match certifies that no
-  codeword of weight w exists; a verified match is exact.
+  bound, so a level that completes without a match raises the certified
+  bound to w + 1, and the first match is exact.  Each level is a
+  meet-in-the-middle match over syndromes of a pinned split: some cyclic
+  shift of every weight-w codeword, scaled, has coordinate 0 equal to 1,
+  so side A is position 0 with coefficient 1 plus ceil(w/2) - 1 positions
+  of 1..n-1 and side B is floor(w/2) positions of 1..n-1.  Only matches
+  with every A position below every B position are kept, so each is a
+  distinct weight-w codeword; the witness is the lexicographically
+  smallest of their shifts and multiples, checked once.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -23,8 +29,8 @@ polynomial before it is believed.
 from __future__ import annotations
 
 import itertools
+import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +48,6 @@ class DistanceConfig:
 
     full_enum_limit: int = 1 << 22
     w_max: int = 13
-    workers: int = 1
     isd_iterations: int = 240
     isd_stall: int = 16
     mitm_side_limit: int = 32_000_000
@@ -291,38 +296,24 @@ class _MitmInfeasible(Exception):
     pass
 
 
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
-
-
 def _check_mitm_feasible(code: CyclicCode, w: int, cfg: DistanceConfig):
     F = code.field
     digits_total = (code.n - code.k) * F.t
     if digits_total * np.log2(F.p) > 62:
         raise _MitmInfeasible("syndrome key exceeds 64-bit packing")
-    w1, w2 = w // 2, w - w // 2
-    # codewords are scaled so the coefficient at the top support position
-    # (always on the B side) is 1
-    side_a = _comb(code.n, w1) * (code.q - 1) ** w1
-    side_b = _comb(code.n, w2) * (code.q - 1) ** max(0, w2 - 1)
+    w1, w2 = (w + 1) // 2, w // 2
+    # side A pins coordinate 0 to 1; both sides draw the rest from 1..n-1
+    side_a = math.comb(code.n - 1, w1 - 1) * (code.q - 1) ** (w1 - 1)
+    side_b = math.comb(code.n - 1, w2) * (code.q - 1) ** w2
     if max(side_a, side_b) > cfg.mitm_side_limit:
         raise _MitmInfeasible(f"side size {max(side_a, side_b)} over limit")
 
 
-def _coeff_grid(q: int, slots: int, normalize_last: bool) -> np.ndarray:
+def _coeff_grid(q: int, slots: int, pin_first: bool) -> np.ndarray:
     """All coefficient tuples over GF(q)* for the support slots."""
-    if slots == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    ranges = []
-    for s in range(slots):
-        if s == slots - 1 and normalize_last:
-            ranges.append([1])
-        else:
-            ranges.append(list(range(1, q)))
-    grid = np.array(list(itertools.product(*ranges)), dtype=np.uint8)
-    return grid
+    ranges = [[1] if s == 0 and pin_first else range(1, q)
+              for s in range(slots)]
+    return np.array(list(itertools.product(*ranges)), dtype=np.uint8)
 
 
 def _colex_array(n: int, w: int) -> np.ndarray:
@@ -330,26 +321,21 @@ def _colex_array(n: int, w: int) -> np.ndarray:
 
     Colex nests: the supports of range(last) are a prefix of those of
     range(n), so each level is assembled from prefix slices of the one
-    below it.
+    below it.  Positions are int16 while n itself fits, so a caller may
+    add 1 to them; int32 beyond.
     """
+    dtype = np.int16 if n < 1 << 15 else np.int32
     if w == 0:
-        return np.zeros((1, 0), dtype=np.int16)
-    level = np.arange(n, dtype=np.int16).reshape(-1, 1)
+        return np.zeros((1, 0), dtype=dtype)
+    level = np.arange(n, dtype=dtype).reshape(-1, 1)
     for j in range(2, w + 1):
         parts = []
         for last in range(j - 1, n):
-            prefix = level[: _comb(last, j - 1)]
-            col = np.full((len(prefix), 1), last, dtype=np.int16)
+            prefix = level[: math.comb(last, j - 1)]
+            col = np.full((len(prefix), 1), last, dtype=dtype)
             parts.append(np.hstack([prefix, col]))
         level = np.vstack(parts)
     return level
-
-
-def _colex_supports(n: int, w: int, chunk: int):
-    """Size-w supports in colex order, yielded as (<=chunk, w) arrays."""
-    full = _colex_array(n, w)
-    for lo in range(0, len(full), chunk):
-        yield full[lo : lo + chunk]
 
 
 def _side_keys(H: np.ndarray, st: SubfieldTables, pos: np.ndarray,
@@ -407,92 +393,95 @@ def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
 
 def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
                 cfg: DistanceConfig) -> tuple[int, ...] | None:
-    """Full MITM sweep at weight w; returns the lexicographically smallest
-    verified codeword of weight w, or None if none exists."""
+    """Full MITM sweep at weight w over the pinned split (module
+    docstring); returns the lexicographically smallest codeword of weight
+    w, or None if none exists.  A key match puts the sum of the two sides
+    in the code, and with A's positions below B's the sides are disjoint,
+    so the sum has weight w and no match needs a further check.
+    """
     _check_mitm_feasible(code, w, cfg)
     F = code.field
     st = F.subfield_tables()
     q, n = code.q, code.n
-    w1, w2 = w // 2, w - w // 2
+    w1, w2 = (w + 1) // 2, w // 2
 
-    # A: the low w1 support positions, free coefficients; B: the high w2
-    # positions with the final coefficient pinned to 1 (global scaling).
-    coeff_a = _coeff_grid(q, w1, normalize_last=False)
-    coeff_b = _coeff_grid(q, w2, normalize_last=True)
+    rest = _colex_array(n - 1, w1 - 1) + 1
+    pos_a = np.hstack([np.zeros((len(rest), 1), dtype=rest.dtype), rest])
+    pos_b = _colex_array(n - 1, w2) + 1
+    coeff_a = _coeff_grid(q, w1, pin_first=True)
+    coeff_b = _coeff_grid(q, w2, pin_first=False)
+    Ka, Kb = len(coeff_a), len(coeff_b)
     xor_table = _xor_key_table(H, st) if F.p == 2 else None
 
-    def side_keys(pos, coeffs, negate):
-        if xor_table is not None:
-            return _side_keys_xor(xor_table, pos, coeffs)
-        return _side_keys(H, st, pos, coeffs, negate)
+    def key_chunks(pos, coeffs, negate):
+        """(first support, flat keys) per chunk of supports, C-ordered with
+        the coefficient index minor."""
+        per = len(coeffs) * (1 if xor_table is not None else H.shape[0] * F.t)
+        step = max(1, (1 << 23) // per)
+        for lo in range(0, len(pos), step):
+            part = pos[lo : lo + step]
+            if xor_table is not None:
+                keys = _side_keys_xor(xor_table, part, coeffs)
+            else:
+                keys = _side_keys(H, st, part, coeffs, negate)
+            yield lo, keys.reshape(-1)
 
-    # the A side is the smaller one: materialize it fully, sorted by key
-    pos_a_chunks, keys_a_chunks = [], []
-    for pos in _colex_supports(n, w1, 1 << 14):
-        keys = side_keys(pos, coeff_a, negate=True)
-        pos_a_chunks.append(pos)
-        keys_a_chunks.append(keys.reshape(-1))
-    pos_a = np.concatenate(pos_a_chunks) if pos_a_chunks else np.zeros((1, 0), np.int16)
-    keys_a = np.concatenate(keys_a_chunks)
-    Ka = len(coeff_a)
-    order = np.argsort(keys_a, kind="stable")
+    # A is never the larger side: materialize it, sorted by key
+    keys_a = np.concatenate([k for _, k in key_chunks(pos_a, coeff_a, True)])
+    order = np.argsort(keys_a)
     keys_sorted = keys_a[order]
 
-    # one-hash bloom filter: screens out almost every probe key before the
-    # binary search, which dominates otherwise
-    bloom_bits = 26
+    # one-hash bloom filter sized to A: screens out almost every probe key
+    # before the binary search, which dominates otherwise
+    bloom_bits = min(max(len(keys_a).bit_length() + 4, 12), 26)
     bloom = np.zeros(1 << bloom_bits, dtype=bool)
     bloom[_bloom_addr(keys_sorted, bloom_bits)] = True
 
-    if xor_table is not None:
-        chunk = max(1, (1 << 23) // max(1, len(coeff_b)))
-    else:
-        chunk = max(1, (1 << 24) // max(1, len(coeff_b) * H.shape[0] * F.t))
-
-    def probe_chunk(pos) -> list[tuple[int, ...]]:
-        hits: list[tuple[int, ...]] = []
-        keys_b = side_keys(pos, coeff_b, negate=False)
-        flat = keys_b.reshape(-1)
-        maybe = np.nonzero(bloom[_bloom_addr(flat, bloom_bits)])[0]
-        if len(maybe) == 0:
-            return hits
-        sub_keys = flat[maybe]
-        lo = np.searchsorted(keys_sorted, sub_keys, side="left")
-        hi = np.searchsorted(keys_sorted, sub_keys, side="right")
-        hit_which = np.nonzero(hi > lo)[0]
-        for hk in hit_which:
-            bi = int(maybe[hk])
-            b_pos = pos[bi // len(coeff_b)]
-            b_cf = coeff_b[bi % len(coeff_b)]
-            for oi in range(lo[hk], hi[hk]):
-                ai = order[oi]
-                a_pos = pos_a[ai // Ka]
-                a_cf = coeff_a[ai % Ka]
-                if set(map(int, a_pos)) & set(map(int, b_pos)):
-                    continue
-                vec = np.zeros(n, dtype=np.int16)
-                vec[a_pos] = a_cf
-                vec[b_pos] = b_cf
-                if int(np.count_nonzero(vec)) != w:
-                    continue
-                if not code.contains(vec):
-                    continue
-                hits.append(tuple(int(x) for x in vec))
-        return hits
-
-    # probe chunks are independent; the minimum is merge-order independent
-    found: list[tuple[int, ...]] = []
-    chunks = _colex_supports(n, w2, chunk)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for hits in pool.map(probe_chunk, chunks):
-                found.extend(hits)
-    else:
-        for pos in chunks:
-            found.extend(probe_chunk(pos))
+    found = []
+    for lo, keys_b in key_chunks(pos_b, coeff_b, False):
+        maybe = np.flatnonzero(bloom[_bloom_addr(keys_b, bloom_bits)])
+        left = np.searchsorted(keys_sorted, keys_b[maybe], side="left")
+        counts = np.searchsorted(keys_sorted, keys_b[maybe], side="right") - left
+        # one entry per matching (A, B) pair
+        bi = np.repeat(maybe, counts) + lo * Kb
+        ai = order[np.repeat(left - np.cumsum(counts) + counts, counts)
+                   + np.arange(counts.sum())]
+        sa, sb = pos_a[ai // Ka], pos_b[bi // Kb]
+        keep = sa[:, -1] < sb[:, 0]
+        if not keep.any():
+            continue
+        words = np.zeros((int(keep.sum()), n), dtype=np.uint8)
+        rows = np.arange(len(words))[:, None]
+        words[rows, sa[keep]] = coeff_a[ai[keep] % Ka]
+        words[rows, sb[keep]] = coeff_b[bi[keep] % Kb]
+        found.append(words)
     if not found:
         return None
-    return min(found)
+    witness = _smallest_shift(np.concatenate(found), st)
+    vec = np.array(witness, dtype=np.int16)
+    if int(np.count_nonzero(vec)) != w or not code.contains(vec):
+        raise AssertionError("meet-in-the-middle produced a non-codeword")
+    return witness
+
+
+def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
+    """Lexicographically smallest word among all cyclic shifts and nonzero
+    scalar multiples of the given nonzero words."""
+    m, n = words.shape
+    # shift s moves coordinate j - s to j: x^s times the word
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    best = None
+    step = max(1, (1 << 22) // (n * n))
+    for lo in range(0, m, step):
+        shifted = words[lo : lo + step][:, idx].reshape(-1, n)
+        lead = np.argmax(shifted != 0, axis=1)
+        # the smallest multiple has first nonzero 1 and the most zeros before it
+        top = lead.max()
+        shifted = shifted[lead == top]
+        scaled = st.mul[st.inv[shifted[:, top]][:, None], shifted]
+        cand = tuple(int(x) for x in scaled[np.lexsort(scaled.T[::-1])[0]])
+        best = cand if best is None else min(best, cand)
+    return best
 
 
 # -- seeded information-set witness search ------------------------------------
@@ -612,8 +601,9 @@ def minimum_distance(code: CyclicCode,
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
     if code.k == code.n:
+        # the lexicographically smallest weight-1 word, as enumeration finds
         result = DistanceResult(1, True, "exhaustive",
-                                witness=tuple([1] + [0] * (code.n - 1)),
+                                witness=tuple([0] * (code.n - 1) + [1]),
                                 certified_lower=1)
         code.distance = result
         return result

@@ -22,6 +22,10 @@ from .galois import Field, FieldSpec
 ENV_VAR = "DICKSON_REGISTRY"
 
 
+class RegistryError(ValueError):
+    """A registry file that cannot be read or holds a malformed record."""
+
+
 class UnknownEntryError(KeyError):
     """A registry field or table id that the data files do not hold."""
 
@@ -78,11 +82,12 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
             p, t, m = (int(x) for x in parts[:3])
             coeffs = tuple(int(x) for x in parts[3:])
         except ValueError:
-            raise ValueError(f"{source}:{lineno}: malformed registry record: {raw!r}")
+            raise RegistryError(
+                f"{source}:{lineno}: malformed registry record: {raw!r}") from None
         spec = FieldSpec(p=p, t=t, m=m, prim_poly=coeffs)
         key = (spec.q, m)
         if key in entries and not override:
-            raise ValueError(
+            raise RegistryError(
                 f"{source}:{lineno}: duplicate registry record for (q={key[0]}, m={m}) "
                 "without override flag")
         entries[key] = RegistryEntry(q=spec.q, m=m, spec=spec, override=override)
@@ -94,8 +99,12 @@ def load_registry(path: str | None = None) -> Registry:
     if path is None:
         path = os.environ.get(ENV_VAR)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return parse_registry(fh.read(), source=path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise RegistryError(f"cannot read registry {path}: {exc}") from None
+        return parse_registry(text, source=path)
     text = (resources.files("dickson_codes.data") / "registry.txt").read_text("utf-8")
     return parse_registry(text, source="<packaged>")
 

@@ -154,3 +154,19 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "run_table", broken)
     with pytest.raises(KeyError):
         main(["table", "--id", "E"])
+
+
+def test_missing_registry_file_exits_2(capsys, tmp_path):
+    status, _, err = run_cli(capsys, "field", "--q", "2", "--m", "3",
+                             "--registry", str(tmp_path / "missing.txt"))
+    assert status == 2
+    assert err.startswith("error: cannot read registry")
+
+
+def test_malformed_registry_record_exits_2(capsys, tmp_path):
+    target = tmp_path / "registry.txt"
+    target.write_text("2 1 3 1 x\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "field", "--q", "2", "--m", "3",
+                             "--registry", str(target))
+    assert status == 2
+    assert "malformed registry record" in err

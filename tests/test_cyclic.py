@@ -6,8 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
-from dickson_codes.cyclic import (DistanceConfig, bch_lower_bound,
+from dickson_codes.cyclic import (DistanceConfig, _colex_array,
+                                  _exhaustive_distance, bch_lower_bound,
                                   code_from_generator, code_from_sequence,
                                   codeword_blocks,
                                   even_like_subcode, minimum_distance,
@@ -318,3 +321,66 @@ def test_exhaustive_witness_is_smallest_minimum_weight_codeword():
         assert (d.value, d.witness) == best, (c.q, c.n, c.k)
         checked += 1
     assert checked >= 20
+
+
+def test_full_code_witness_matches_enumeration():
+    for q, m in [(2, 3), (3, 2)]:
+        F = REG.field(q, m)
+        full = code_from_generator(F, Poly.one(F))
+        d = minimum_distance(full)
+        assert (d.value, d.witness) == _exhaustive_distance(full)
+
+
+def test_colex_positions_past_int16():
+    assert _colex_array(40000, 1)[-1, 0] == 39999
+    assert _colex_array(5, 2).tolist() == [
+        [0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3],
+        [0, 4], [1, 4], [2, 4], [3, 4]]
+
+
+DIFF_FIELDS = [(q, m) for q, m in REG.pairs()
+               if q in (2, 3, 4, 5, 7, 8, 9) and 3 <= q**m - 1 <= 31]
+
+
+@hst.composite
+def random_cyclic_codes(draw):
+    """Cyclic codes whose roots are a random union of q-cyclotomic cosets:
+    the non-roots are a random prefix of a shuffled coset list, cut to
+    q^k <= 2^12."""
+    q, m = draw(hst.sampled_from(DIFF_FIELDS))
+    F = REG.field(q, m)
+    factors = [g for _, g in factor_xn_minus_1(F.n, F)]
+    order = draw(hst.permutations(range(len(factors))))
+    take = draw(hst.integers(1, len(factors)))
+    free, k = set(), 0
+    for i in order[:take]:
+        if q ** (k + factors[i].degree) <= 1 << 12:
+            free.add(i)
+            k += factors[i].degree
+    g = Poly.one(F)
+    for i, f in enumerate(factors):
+        if i not in free:
+            g = g * f
+    return code_from_generator(F, g.monic())
+
+
+def _non_reversible(q, m, g_ints):
+    F = REG.field(q, m)
+    g = Poly.from_ints(F, g_ints)
+    assert reciprocal(g) != g
+    return code_from_generator(F, g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+@example(_non_reversible(2, 3, [1, 1, 0, 1]))  # x^3 + x + 1
+@example(_non_reversible(3, 2, [2, 1, 1]))  # x^2 + x + 2
+def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
+    exh = minimum_distance(code)
+    assert exh.method == "exhaustive"
+    cfg = DistanceConfig(isd_iterations=0, full_enum_limit=1, w_max=code.n,
+                         mitm_side_limit=1 << 18)
+    mitm = minimum_distance(code, cfg)
+    assert mitm.certified_lower <= exh.value
+    if mitm.exact:
+        assert (mitm.value, mitm.witness) == (exh.value, exh.witness)
