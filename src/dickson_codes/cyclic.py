@@ -21,6 +21,11 @@ Distance strategy, in order:
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
   level would be infeasible (method ``bch+witness`` / ``mitm+witness``).
+  Each iteration brings a random permutation's greedy information set to
+  systematic form.  When n - k < k this reduces the parity-check matrix's
+  n - k rows, scanning from the right, instead of the generator's k rows:
+  by matroid duality its check columns are the complement of the
+  generator's information set, so the systematic generator is the same.
 
 Every codeword any search reports is re-verified against the generator
 polynomial before it is believed.
@@ -39,7 +44,7 @@ from . import _codes
 from .dickson import DicksonSpec
 from .galois import Field, SubfieldTables, ZERO
 from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal_poly_gcd
-from .polyring import Poly, cyclotomic_coset
+from .polyring import Poly, coset_leaders, cyclotomic_coset
 
 
 @dataclass
@@ -123,8 +128,16 @@ class CyclicCode:
         return H
 
     def root_exponents(self) -> list[int]:
-        """R = {i in Z_n : g(alpha^i) = 0}."""
-        return [i for i in range(self.n) if self.g(i % (self.field.r - 1)) == ZERO]
+        """R = {i in Z_n : g(alpha^i) = 0}, sorted.
+
+        g has coefficients in GF(q), so g(b^q) = g(b)^q and R is a union of
+        q-cyclotomic cosets: g is evaluated once per coset leader.
+        """
+        roots = []
+        for leader in coset_leaders(self.n, self.q):
+            if self.g(leader) == ZERO:
+                roots.extend(cyclotomic_coset(self.n, self.q, leader).members)
+        return sorted(roots)
 
     # -- membership ----------------------------------------------------------
 
@@ -513,6 +526,30 @@ def _rref_codes(M: np.ndarray, st: SubfieldTables):
     return A[:r], pivots
 
 
+def _rref_via_parity(H: np.ndarray, perm: np.ndarray, st: SubfieldTables):
+    """``_rref_codes(G[:, perm], st)`` for the code with parity-check matrix
+    H, from a reduction of H's n - k rows instead of G's k.
+
+    The pivots of G[:, perm], taken greedily left to right, are the
+    complement of the greedy pivots of H[:, perm] taken right to left
+    (matroid duality).  Reducing H[:, perm[::-1]] gives those check columns
+    J with the identity on them; the systematic generator is the identity
+    on the information columns I and minus the transposed I-columns of the
+    reduced H on J.
+    """
+    n = H.shape[1]
+    Rh, rev_pivots = _rref_codes(H[:, perm[::-1]], st)
+    Rh = Rh[:, ::-1]  # back to perm order
+    checks = [n - 1 - c for c in rev_pivots]  # row i of Rh is 1 at checks[i]
+    info = np.ones(n, dtype=bool)
+    info[checks] = False
+    pivots = np.flatnonzero(info)
+    R = np.zeros((len(pivots), n), dtype=np.uint8)
+    R[np.arange(len(pivots)), pivots] = 1
+    R[:, checks] = st.neg[Rh[:, pivots]].T
+    return R, pivots.tolist()
+
+
 def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
                  stall: int | None = None
                  ) -> tuple[int, tuple[int, ...]] | None:
@@ -528,7 +565,9 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
     n, k, q = code.n, code.k, code.q
     if k == 0:
         return None
-    G = code.generator_matrix()
+    # reduce whichever of G and H has fewer rows; both give the same R
+    via_parity = n - k < k
+    M = code.parity_check_matrix() if via_parity else code.generator_matrix()
     seed = (cfg.seed, zlib.crc32(code.g.text().encode()), n, q)
     rng = np.random.default_rng(abs(hash(seed)) % (1 << 63))
     best_w: int | None = None
@@ -540,9 +579,11 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
             break
         prev_best = best_w
         perm = rng.permutation(n)
-        R, pivots = _rref_codes(G[:, perm], st)
-        if R.shape[0] < k:
-            continue
+        R, pivots = (_rref_via_parity(M, perm, st) if via_parity
+                     else _rref_codes(M[:, perm], st))
+        if R.shape[0] != k:
+            # G has rank k and H rank n - k for every cyclic code
+            raise AssertionError("information set of the wrong size")
         # single rows
         weights = np.count_nonzero(R, axis=1)
         i = int(np.argmin(weights))

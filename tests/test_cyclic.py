@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dickson_codes.cyclic import (DistanceConfig, _colex_array,
-                                  _exhaustive_distance, bch_lower_bound,
+                                  _exhaustive_distance, _isd_witness,
+                                  _rref_codes, _rref_via_parity,
+                                  bch_lower_bound,
                                   code_from_generator, code_from_sequence,
                                   codeword_blocks,
                                   even_like_subcode, minimum_distance,
@@ -338,23 +340,24 @@ def test_colex_positions_past_int16():
         [0, 4], [1, 4], [2, 4], [3, 4]]
 
 
-DIFF_FIELDS = [(q, m) for q, m in REG.pairs()
-               if q in (2, 3, 4, 5, 7, 8, 9) and 3 <= q**m - 1 <= 31]
+DIFF_QS = (2, 3, 4, 5, 7, 8, 9)
 
 
 @hst.composite
-def random_cyclic_codes(draw):
-    """Cyclic codes whose roots are a random union of q-cyclotomic cosets:
-    the non-roots are a random prefix of a shuffled coset list, cut to
-    q^k <= 2^12."""
-    q, m = draw(hst.sampled_from(DIFF_FIELDS))
+def random_cyclic_codes(draw, max_n=31, max_size=1 << 12, qs=DIFF_QS):
+    """Cyclic codes over GF(q), q in qs, 3 <= n <= max_n, whose roots are a
+    random union of q-cyclotomic cosets: the non-roots are a random prefix
+    of a shuffled coset list, cut to q^k <= max_size (None: no cut)."""
+    fields = [(q, m) for q, m in REG.pairs()
+              if q in qs and 3 <= q**m - 1 <= max_n]
+    q, m = draw(hst.sampled_from(fields))
     F = REG.field(q, m)
     factors = [g for _, g in factor_xn_minus_1(F.n, F)]
     order = draw(hst.permutations(range(len(factors))))
     take = draw(hst.integers(1, len(factors)))
     free, k = set(), 0
     for i in order[:take]:
-        if q ** (k + factors[i].degree) <= 1 << 12:
+        if max_size is None or q ** (k + factors[i].degree) <= max_size:
             free.add(i)
             k += factors[i].degree
     g = Poly.one(F)
@@ -384,3 +387,64 @@ def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
     assert mitm.certified_lower <= exh.value
     if mitm.exact:
         assert (mitm.value, mitm.witness) == (exh.value, exh.witness)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes(max_n=80, max_size=None))
+def test_root_exponents_match_per_exponent_evaluation(code):
+    per_exponent = [i for i in range(code.n) if code.g(i) == ZERO]
+    assert code.root_exponents() == per_exponent
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(),
+       seeds=hst.lists(hst.integers(0, 2**32 - 1), min_size=3, max_size=3))
+def test_rref_via_parity_matches_generator_reduction(q, data, seeds):
+    code = data.draw(random_cyclic_codes(max_n=80, max_size=None, qs=(q,)))
+    _check_rref_via_parity(code, seeds)
+
+
+def test_rref_via_parity_on_both_rates():
+    F = REG.field(2, 5)
+    g = Poly.from_ints(F, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1
+    for gen in (g, Poly.xn_minus_1(F, 31) // g):  # [31, 26] and [31, 5]
+        _check_rref_via_parity(code_from_generator(F, gen.monic()), [1, 2, 3])
+
+
+def test_isd_rank_loss_is_an_internal_error(monkeypatch):
+    from dickson_codes import cyclic
+
+    def lossy(H, perm, st):
+        R, pivots = _rref_via_parity(H, perm, st)
+        return R[:-1], pivots[:-1]
+
+    monkeypatch.setattr(cyclic, "_rref_via_parity", lossy)
+    code = build(2, 5, "D", 3, "1")
+    assert code.n - code.k < code.k
+    with pytest.raises(AssertionError, match="information set"):
+        _isd_witness(code, DistanceConfig(), stop_at=1)
+
+
+def _check_rref_via_parity(code, seeds):
+    st = code.field.subfield_tables()
+    G, H = code.generator_matrix(), code.parity_check_matrix()
+    for seed in seeds:
+        perm = np.random.default_rng(seed).permutation(code.n)
+        R, pivots = _rref_via_parity(H, perm, st)
+        R_g, pivots_g = _rref_codes(G[:, perm], st)
+        assert pivots == pivots_g
+        assert R.dtype == R_g.dtype and np.array_equal(R, R_g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+def test_bch_bound_le_distance_le_witness_weight(code):
+    lb = bch_lower_bound(code)
+    d = minimum_distance(code)
+    assert d.method == "exhaustive"
+    cfg = DistanceConfig()
+    weight, witness = _isd_witness(code, cfg, stop_at=lb, stall=cfg.isd_stall)
+    assert lb <= d.value <= weight
+    vec = np.array(witness, dtype=np.int16)
+    assert np.count_nonzero(vec) == weight and code.contains(vec)
