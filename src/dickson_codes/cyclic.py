@@ -6,7 +6,11 @@ Distance strategy, in order:
 * **exhaustive** - if q^k fits under the enumeration cap, every codeword
   is generated once, in one pass: a table spanning the first generator
   rows is translated by a q-ary Gray-code walk over the others, so the
-  minimum weight and its witness are exact.
+  minimum weight and its witness are exact.  A high-rate code (n - k < k)
+  under the cap first tries the MITM sweep below, taking a level only
+  while the levels' summed side sizes stay below q^k; enumeration runs
+  when that budget runs out or a level is infeasible.  Low-rate codes
+  are enumerated directly, which is cheaper for them.
 * **mitm** - otherwise weights w are swept upward from the BCH lower
   bound, so a level that completes without a match raises the certified
   bound to w + 1, and the first match is exact.  Each level is a
@@ -16,7 +20,8 @@ Distance strategy, in order:
   of 1..n-1 and side B is floor(w/2) positions of 1..n-1.  Only matches
   with every A position below every B position are kept, so each is a
   distinct weight-w codeword; the witness is the lexicographically
-  smallest of their shifts and multiples, checked once.
+  smallest of their shifts and multiples, checked once, which is the
+  witness enumeration would return.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -26,6 +31,9 @@ Distance strategy, in order:
   n - k rows, scanning from the right, instead of the generator's k rows:
   by matroid duality its check columns are the complement of the
   generator's information set, so the systematic generator is the same.
+  Single rows and every pair R[i] + c * R[j] are scored; the pairs'
+  weights come from one contraction of one-hot encodings of the
+  non-pivot columns, counting where P[i] equals -c * P[j].
 
 Every codeword any search reports is re-verified against the generator
 polynomial before it is believed.
@@ -68,6 +76,7 @@ class DistanceResult:
     value: int
     exact: bool
     method: str
+    bch_bound: int
     witness: tuple[int, ...] | None = None  # subfield codes, length n
     certified_lower: int = 0
 
@@ -98,13 +107,9 @@ class CyclicCode:
         self.h = _codes.codes_to_poly(quot, st)
         self.k = self.n - g.degree
         self.provenance = provenance
-        self.distance: DistanceResult | None = None
 
     def __repr__(self):
-        base = f"CyclicCode[n={self.n}, k={self.k}, q={self.q}]"
-        if self.distance is not None:
-            base += f" {self.distance.describe()}"
-        return base
+        return f"CyclicCode[n={self.n}, k={self.k}, q={self.q}]"
 
     # -- matrices ---------------------------------------------------------
 
@@ -309,17 +314,22 @@ class _MitmInfeasible(Exception):
     pass
 
 
+def _mitm_sides(n: int, q: int, w: int) -> tuple[int, int]:
+    """Key counts of sides A and B of the pinned split at weight w."""
+    w1, w2 = (w + 1) // 2, w // 2
+    # side A pins coordinate 0 to 1; both sides draw the rest from 1..n-1
+    return (math.comb(n - 1, w1 - 1) * (q - 1) ** (w1 - 1),
+            math.comb(n - 1, w2) * (q - 1) ** w2)
+
+
 def _check_mitm_feasible(code: CyclicCode, w: int, cfg: DistanceConfig):
     F = code.field
     digits_total = (code.n - code.k) * F.t
     if digits_total * np.log2(F.p) > 62:
         raise _MitmInfeasible("syndrome key exceeds 64-bit packing")
-    w1, w2 = (w + 1) // 2, w // 2
-    # side A pins coordinate 0 to 1; both sides draw the rest from 1..n-1
-    side_a = math.comb(code.n - 1, w1 - 1) * (code.q - 1) ** (w1 - 1)
-    side_b = math.comb(code.n - 1, w2) * (code.q - 1) ** w2
-    if max(side_a, side_b) > cfg.mitm_side_limit:
-        raise _MitmInfeasible(f"side size {max(side_a, side_b)} over limit")
+    side = max(_mitm_sides(code.n, code.q, w))
+    if side > cfg.mitm_side_limit:
+        raise _MitmInfeasible(f"side size {side} over limit")
 
 
 def _coeff_grid(q: int, slots: int, pin_first: bool) -> np.ndarray:
@@ -477,6 +487,34 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     return witness
 
 
+def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
+                cfg: DistanceConfig, budget: int | None = None):
+    """MITM levels from weight w upward, while w <= cfg.w_max and w < stop
+    (None: no stop).  With a budget, a level is taken only while the
+    summed side sizes of the levels taken so far, this one included, stay
+    below it.
+
+    Returns (w, hit, swept, blocked).  On a hit, w is its weight and the
+    distance; otherwise hit is None and w the first weight not ruled out,
+    a certified lower bound.  ``swept``: some level completed.
+    ``blocked``: the sweep stopped at an infeasible or over-budget level.
+    """
+    keys, swept = 0, False
+    while w <= cfg.w_max and (stop is None or w < stop):
+        keys += sum(_mitm_sides(code.n, code.q, w))
+        if budget is not None and keys >= budget:
+            return w, None, swept, True
+        try:
+            hit = _mitm_level(code, H, w, cfg)
+        except _MitmInfeasible:
+            return w, None, swept, True
+        swept = True
+        if hit is not None:
+            return w, hit, swept, False
+        w += 1
+    return w, None, swept, False
+
+
 def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
     """Lexicographically smallest word among all cyclic shifts and nonzero
     scalar multiples of the given nonzero words."""
@@ -592,10 +630,7 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
         # row pairs with a free scalar on the second row
         nonpiv = np.ones(n, dtype=bool)
         nonpiv[pivots] = False
-        P = R[:, nonpiv]
-        for c in nonzero_scalars:
-            comb = st.add[P[:, None, :], st.mul[c, P][None, :, :]]
-            pw = np.count_nonzero(comb, axis=2) + 2
+        for c, pw in zip(nonzero_scalars, _pair_weights(R[:, nonpiv], st)):
             np.fill_diagonal(pw, n + 10)
             j = int(np.argmin(pw))
             i0, j0 = divmod(j, k)
@@ -613,6 +648,30 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
     if not code.contains(vec) or int(np.count_nonzero(vec)) != best_w:
         raise AssertionError("witness search produced a non-codeword")
     return best_w, _normalize_witness(best_c, st)
+
+
+def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
+    """Weights of R[i] + c * R[j] for every row pair of a systematic R with
+    non-pivot part P (k x L), as an array [c - 1, i, j]: 2 for the pivots
+    plus the nonzero count of P[i] + c * P[j].
+
+    That sum vanishes at l iff P[i, l] = -c * P[j, l], so the count is L
+    minus the agreements, and every (i, c, j) agreement comes out of one
+    contraction of one-hot encodings.  float32 counts are exact here, and
+    einsum without ``optimize`` runs its own loop rather than BLAS threads.
+    """
+    k, L = P.shape
+    q = st.q
+
+    def onehot(M):  # (rows, L) codes -> (rows, L * q) indicators
+        hot = M[:, :, None] == np.arange(q)
+        return hot.reshape(len(M), L * q).astype(np.float32)
+
+    scalars = np.arange(1, q)[:, None, None]
+    # row (c - 1) * k + j is -c * P[j]
+    neg = st.neg[st.mul[scalars, P]].reshape((q - 1) * k, L)
+    agree = np.einsum("ik,jk->ij", onehot(P), onehot(neg)).astype(np.intp)
+    return L + 2 - agree.reshape(k, q - 1, k).transpose(1, 0, 2)
 
 
 def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> tuple[int, ...]:
@@ -643,44 +702,33 @@ def minimum_distance(code: CyclicCode,
         raise ValueError("the zero code has no minimum distance")
     if code.k == code.n:
         # the lexicographically smallest weight-1 word, as enumeration finds
-        result = DistanceResult(1, True, "exhaustive",
-                                witness=tuple([0] * (code.n - 1) + [1]),
-                                certified_lower=1)
-        code.distance = result
-        return result
+        return DistanceResult(1, True, "exhaustive", bch_bound=1,
+                              witness=tuple([0] * (code.n - 1) + [1]),
+                              certified_lower=1)
 
     lb = bch_lower_bound(code)
-    st = code.field.subfield_tables()
-
-    if code.q**code.k <= cfg.full_enum_limit:
+    size = code.q**code.k
+    if size <= cfg.full_enum_limit:
+        if code.n - code.k < code.k:
+            # high rate: the levels up to d usually hold far fewer keys than
+            # the code has codewords, and find the same witness
+            w, hit, _, _ = _mitm_sweep(code, code.parity_check_matrix(), lb,
+                                       None, cfg, budget=size)
+            if hit is not None:
+                return DistanceResult(w, True, "mitm", bch_bound=lb,
+                                      witness=hit, certified_lower=w)
         d, wit = _exhaustive_distance(code)
-        result = DistanceResult(d, True, "exhaustive", witness=wit,
-                                certified_lower=d)
-        code.distance = result
-        return result
+        return DistanceResult(d, True, "exhaustive", bch_bound=lb,
+                              witness=wit, certified_lower=d)
 
     H = code.parity_check_matrix()
     isd = _isd_witness(code, cfg, stop_at=lb, stall=cfg.isd_stall)
     upper = isd[0] if isd else None
 
-    certified = lb
-    mitm_used = False
-    hit_wall = False
-    w = lb
-    while w <= cfg.w_max and (upper is None or w < upper):
-        try:
-            hit = _mitm_level(code, H, w, cfg)
-        except _MitmInfeasible:
-            hit_wall = True
-            break
-        mitm_used = True
-        if hit is not None:
-            result = DistanceResult(w, True, "mitm", witness=hit,
-                                    certified_lower=w)
-            code.distance = result
-            return result
-        certified = w + 1
-        w += 1
+    certified, hit, mitm_used, hit_wall = _mitm_sweep(code, H, lb, upper, cfg)
+    if hit is not None:
+        return DistanceResult(certified, True, "mitm", bch_bound=lb,
+                              witness=hit, certified_lower=certified)
 
     if hit_wall and (upper is None or upper > certified):
         # the quick witness pass stalled above the certified floor and the
@@ -691,17 +739,13 @@ def minimum_distance(code: CyclicCode,
 
     if upper is not None and upper == certified:
         method = "mitm+witness" if mitm_used else "bch+witness"
-        result = DistanceResult(upper, True, method, witness=isd[1],
-                                certified_lower=certified)
-        code.distance = result
-        return result
+        return DistanceResult(upper, True, method, bch_bound=lb,
+                              witness=isd[1], certified_lower=certified)
 
     # unresolved: report the certified lower bound only
-    result = DistanceResult(certified, False, "bch-only",
-                            witness=isd[1] if isd else None,
-                            certified_lower=certified)
-    code.distance = result
-    return result
+    return DistanceResult(certified, False, "bch-only", bch_bound=lb,
+                          witness=isd[1] if isd else None,
+                          certified_lower=certified)
 
 
 # -- secondary parity-check construction (cross-check) ------------------------

@@ -604,7 +604,6 @@ def process_row(row: TableRow, registry: Registry,
     spec = DicksonSpec(kind=eff.kind, h=eff.order, a=a, offset=offset)
     code = code_from_sequence(defining_sequence(F, spec))
     dist = minimum_distance(code, cfg)
-    bch = bch_lower_bound(code)
 
     case_report = None
     try:
@@ -626,7 +625,7 @@ def process_row(row: TableRow, registry: Registry,
     return RowReport(
         row=row, effective=eff, errata=applied,
         computed_n=F.n, computed_k=code.k, computed_d=dist.value,
-        d_exact=dist.exact, d_method=dist.method, bch_bound=bch,
+        d_exact=dist.exact, d_method=dist.method, bch_bound=dist.bch_bound,
         status=status, bd_consistent=bd_ok, theorem_case=case_report,
         runtime_ms=(time.perf_counter() - t0) * 1000.0)
 

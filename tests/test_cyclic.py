@@ -11,7 +11,8 @@ from hypothesis import strategies as hst
 
 from dickson_codes.cyclic import (DistanceConfig, _colex_array,
                                   _exhaustive_distance, _isd_witness,
-                                  _rref_codes, _rref_via_parity,
+                                  _mitm_sides, _MitmInfeasible,
+                                  _pair_weights, _rref_codes, _rref_via_parity,
                                   bch_lower_bound,
                                   code_from_generator, code_from_sequence,
                                   codeword_blocks,
@@ -318,8 +319,8 @@ def test_exhaustive_witness_is_smallest_minimum_weight_codeword():
             codes += [0] * (c.n - len(codes))
             key = (c.n - codes.count(0), tuple(codes))
             best = key if best is None else min(best, key)
+        assert _exhaustive_distance(c) == best, (c.q, c.n, c.k)
         d = minimum_distance(c)
-        assert d.method == "exhaustive"
         assert (d.value, d.witness) == best, (c.q, c.n, c.k)
         checked += 1
     assert checked >= 20
@@ -379,14 +380,15 @@ def _non_reversible(q, m, g_ints):
 @example(_non_reversible(2, 3, [1, 1, 0, 1]))  # x^3 + x + 1
 @example(_non_reversible(3, 2, [2, 1, 1]))  # x^2 + x + 2
 def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
-    exh = minimum_distance(code)
-    assert exh.method == "exhaustive"
+    exh = _exhaustive_distance(code)
+    d = minimum_distance(code)
+    assert (d.value, d.witness) == exh
     cfg = DistanceConfig(isd_iterations=0, full_enum_limit=1, w_max=code.n,
                          mitm_side_limit=1 << 18)
     mitm = minimum_distance(code, cfg)
-    assert mitm.certified_lower <= exh.value
+    assert mitm.certified_lower <= exh[0]
     if mitm.exact:
-        assert (mitm.value, mitm.witness) == (exh.value, exh.witness)
+        assert (mitm.value, mitm.witness) == exh
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -441,10 +443,100 @@ def _check_rref_via_parity(code, seeds):
 @given(random_cyclic_codes())
 def test_bch_bound_le_distance_le_witness_weight(code):
     lb = bch_lower_bound(code)
+    exh = _exhaustive_distance(code)
     d = minimum_distance(code)
-    assert d.method == "exhaustive"
+    assert (d.value, d.witness) == exh and d.bch_bound == lb
     cfg = DistanceConfig()
     weight, witness = _isd_witness(code, cfg, stop_at=lb, stall=cfg.isd_stall)
-    assert lb <= d.value <= weight
+    assert lb <= exh[0] <= weight
     vec = np.array(witness, dtype=np.int16)
     assert np.count_nonzero(vec) == weight and code.contains(vec)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k=hst.integers(1, 12), L=hst.integers(0, 20),
+       seed=hst.integers(0, 2**32 - 1))
+@example(k=1, L=1, seed=0)
+@example(k=1, L=7, seed=1)
+@example(k=6, L=1, seed=2)
+def test_pair_weights_match_table_count(q, k, L, seed):
+    m = min(m for p, m in REG.pairs() if p == q)
+    st = REG.field(q, m).subfield_tables()
+    P = np.random.default_rng(seed).integers(0, q, (k, L)).astype(np.uint8)
+    pws = _pair_weights(P, st)
+    assert pws.shape == (q - 1, k, k)
+    for c in range(1, q):
+        comb = st.add[P[:, None, :], st.mul[c, P][None, :, :]]
+        assert np.array_equal(pws[c - 1], np.count_nonzero(comb, axis=2) + 2)
+
+
+def _levels_within_budget(code, lb, d):
+    """Whether the MITM levels lb..d hold fewer keys in all than q^k."""
+    keys = sum(sum(_mitm_sides(code.n, code.q, w)) for w in range(lb, d + 1))
+    return keys < code.q**code.k
+
+
+def _binary_15(*factors):
+    """Binary cyclic code of length 15 generated by the product of the
+    given factors of x^15 - 1 (coefficients from the constant term up)."""
+    F = REG.field(2, 4)
+    g = Poly.one(F)
+    for f in factors:
+        g = g * Poly.from_ints(F, f)
+    return code_from_generator(F, g)
+
+
+HAMMING = [1, 1, 0, 0, 1]  # x^4 + x + 1: the [15, 11, 3] Hamming code
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+@example(_binary_15(HAMMING))
+@example(_binary_15(HAMMING, [1, 1, 1, 1, 1], [1, 1, 1]))  # [15, 5]
+def test_high_rate_enumerable_codes_take_mitm(code):
+    d = minimum_distance(code)
+    exh = _exhaustive_distance(code)
+    assert (d.value, d.witness, d.exact) == (*exh, True)
+    assert d.certified_lower == d.value
+    high_rate = code.n - code.k < code.k < code.n  # full codes: no search
+    if high_rate and _levels_within_budget(code, d.bch_bound, d.value):
+        assert d.method == "mitm"
+    else:
+        assert d.method == "exhaustive"
+
+
+def test_mitm_sweep_stops_at_key_budget(monkeypatch):
+    from dickson_codes import cyclic
+
+    swept = []
+
+    def empty_level(code, H, w, cfg):
+        swept.append(w)
+        return None
+
+    monkeypatch.setattr(cyclic, "_mitm_level", empty_level)
+    ham = _binary_15(HAMMING)
+    assert (ham.n, ham.k, bch_lower_bound(ham)) == (15, 11, 3)
+    d = minimum_distance(ham)
+    assert (d.method, d.value, d.witness) == ("exhaustive",
+                                              *_exhaustive_distance(ham))
+    # levels 3..7 hold 28 + 105 + 182 + 455 + 728 = 1498 keys; level 8
+    # would bring 1365 more, past q^k = 2048
+    assert swept == [3, 4, 5, 6, 7]
+    assert _levels_within_budget(ham, 3, 7)
+    assert not _levels_within_budget(ham, 3, 8)
+
+
+def test_infeasible_mitm_level_falls_back_to_enumeration(monkeypatch):
+    from dickson_codes import cyclic
+
+    def infeasible(code, H, w, cfg):
+        raise _MitmInfeasible("forced")
+
+    ham = _binary_15(HAMMING)
+    assert minimum_distance(ham).method == "mitm"
+    monkeypatch.setattr(cyclic, "_mitm_level", infeasible)
+    d = minimum_distance(ham)
+    assert (d.method, d.value, d.witness) == ("exhaustive",
+                                              *_exhaustive_distance(ham))
