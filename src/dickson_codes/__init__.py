@@ -3,13 +3,12 @@ minimal polynomials, distance search, and reproduction of the printed
 code tables."""
 
 from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
-                     bch_lower_bound, code_from_generator, code_from_sequence,
-                     even_like_subcode, minimum_distance, weight_distribution)
+                     bch_lower_bound, code_from_sequence, even_like_subcode,
+                     minimum_distance, weight_distribution)
 from .dickson import (DicksonSpec, dickson_first, dickson_poly,
                       dickson_second, shift_by_one)
 from .galois import (Field, FieldError, FieldSpec, ZERO,
-                     artin_cubic_has_nonzero_root, field_create,
-                     find_primitive_poly)
+                     artin_cubic_has_nonzero_root, find_primitive_poly)
 from .lfsr import (MinimalPolyResult, PeriodicSequence, Spectrum,
                    defining_sequence, minimal_poly_dft, minimal_poly_gcd,
                    sequence_poly, spectrum)
@@ -24,12 +23,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CyclicCode", "DistanceConfig", "DistanceResult", "bch_lower_bound",
-    "code_from_generator", "code_from_sequence", "even_like_subcode",
+    "code_from_sequence", "even_like_subcode",
     "minimum_distance", "weight_distribution",
     "DicksonSpec", "dickson_first", "dickson_poly", "dickson_second",
     "shift_by_one",
     "Field", "FieldError", "FieldSpec", "ZERO",
-    "artin_cubic_has_nonzero_root", "field_create", "find_primitive_poly",
+    "artin_cubic_has_nonzero_root", "find_primitive_poly",
     "MinimalPolyResult", "PeriodicSequence", "Spectrum", "defining_sequence",
     "minimal_poly_dft", "minimal_poly_gcd", "sequence_poly", "spectrum",
     "CyclotomicCoset", "Poly", "coset_leaders", "cyclotomic_coset",

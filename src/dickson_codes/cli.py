@@ -19,8 +19,8 @@ from .dickson import DicksonSpec, dickson_poly, shift_by_one
 from .galois import FieldError, ZERO, poly_str
 from .lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
 from .registry import RegistryError, UnknownEntryError, load_registry
-from .verify import (NoTheoremApplies, TABLE_IDS, compare, predict,
-                     run_table, table_distance_config)
+from .verify import (NoTheoremApplies, TABLE_IDS, predict, run_table,
+                     sweep_field, table_distance_config)
 
 
 class UsageError(Exception):
@@ -95,13 +95,15 @@ def cmd_code(args) -> int:
     _, F = _resolve_field(args)
     spec = _resolve_spec(F, args)
     code = code_from_sequence(defining_sequence(F, spec))
-    bch = bch_lower_bound(code) if code.k else None
-    dist = None
+    bch = dist = None
     if args.distance != "none" and code.k:
         cfg = DistanceConfig(w_max=args.wmax)
         if args.distance == "bch":
             cfg = DistanceConfig(w_max=1, isd_iterations=0, full_enum_limit=1)
         dist = minimum_distance(code, cfg)
+        bch = dist.bch_bound
+    elif code.k:
+        bch = bch_lower_bound(code)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     payload = {
         "n": code.n, "k": code.k, "q": code.q, "m": F.m,
@@ -144,7 +146,7 @@ def cmd_table(args) -> int:
     cfg = table_distance_config(args.id)
     if args.wmax is not None:
         cfg.w_max = args.wmax
-    report = run_table(args.id, registry, cfg, workers=args.workers)
+    report = run_table(args.id, registry, cfg)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
@@ -158,26 +160,22 @@ def cmd_table(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, F = _resolve_field(args)
-    bad = 0
-    shown = 0
-    for a in F.elements():
-        spec = DicksonSpec(kind=args.kind, h=args.order, a=a,
-                           offset=ZERO)
+    results = sweep_field(F, args.kind, args.order)
+    if not results:
+        # the regime guards do not depend on a, so a = 0 names the reason
         try:
-            pred = predict(spec, F)
+            predict(DicksonSpec(kind=args.kind, h=args.order, a=ZERO), F)
         except NoTheoremApplies as exc:
-            if shown == 0:
-                print(f"out of regime: {exc}")
-            return 2
-        code = code_from_sequence(defining_sequence(F, spec))
-        rep = compare(pred, code)
+            print(f"out of regime: {exc}")
+        return 2
+    bad = 0
+    for a, rep in results:
         ok = rep.generator_match and rep.dimension_match
         bad += 0 if ok else 1
-        shown += 1
         status = "ok" if ok else "DISAGREE"
         print(f"a={F.format_element(a):>6}  {rep.theorem:<13} {rep.case:<28} "
               f"k={rep.actual_dimension:>3}  {status}")
-    print(f"swept {shown} values of a; disagreements: {bad}")
+    print(f"swept {len(results)} values of a; disagreements: {bad}")
     return 1 if bad else 0
 
 
@@ -217,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", choices=list(TABLE_IDS), required=True)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--wmax", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--registry", help="registry file path")
     p.set_defaults(fn=cmd_table)
 

@@ -85,10 +85,15 @@ class DistanceResult:
 
 
 class CyclicCode:
-    """Cyclic [n, k] code over GF(q) with generator polynomial g."""
+    """Cyclic [n, k] code over GF(q) with generator polynomial g.
+
+    The parity polynomial h = (x^n - 1)/g is found by division, or, when
+    the caller already has it, checked by g * h = x^n - 1.
+    """
 
     def __init__(self, field: Field, g: Poly,
-                 provenance: DicksonSpec | None = None):
+                 provenance: DicksonSpec | None = None,
+                 h: Poly | None = None):
         if g.field is not field:
             raise ValueError("generator polynomial belongs to a different field")
         if not g.is_monic():
@@ -100,11 +105,18 @@ class CyclicCode:
         self.q = field.q
         self.g = g
         st = field.subfield_tables()
-        xn1 = _xn1_codes(field)
-        quot, rem = _codes.codes_divmod(xn1, _codes.poly_to_codes(g, st), st)
-        if len(rem):
-            raise ValueError("generator does not divide x^n - 1")
-        self.h = _codes.codes_to_poly(quot, st)
+        xn1 = _codes.xn_minus_1(st)
+        g_codes = _codes.poly_to_codes(g, st)
+        if h is None:
+            quot, rem = _codes.codes_divmod(xn1, g_codes, st)
+            if len(rem):
+                raise ValueError("generator does not divide x^n - 1")
+            h = _codes.codes_to_poly(quot, st)
+        elif (h.field is not field or not np.array_equal(
+                _codes.codes_mul(g_codes, _codes.poly_to_codes(h, st), st),
+                xn1)):
+            raise ValueError("g * h is not x^n - 1")
+        self.h = h
         self.k = self.n - g.degree
         self.provenance = provenance
 
@@ -154,30 +166,19 @@ class CyclicCode:
         return len(rem) == 0
 
 
-def _xn1_codes(field: Field) -> np.ndarray:
-    st = field.subfield_tables()
-    xn1 = np.zeros(field.n + 1, dtype=np.int16)
-    xn1[0] = st.neg[st.scalar_code(1)]
-    xn1[field.n] = st.scalar_code(1)
-    return xn1
-
-
 def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
     """The code defined by a sequence: g = (x^n - 1)/gcd(S(x), x^n - 1).
 
     The generator is computed by the gcd formula and asserted equal to the
-    spectral minimal polynomial, so both lemma routes back every code.
+    spectral minimal polynomial, so both lemma routes back every code.  The
+    gcd itself is the parity polynomial h, checked by g * h = x^n - 1.
     """
     res_gcd: MinimalPolyResult = minimal_poly_gcd(s)
     res_dft: MinimalPolyResult = minimal_poly_dft(s)
     if res_gcd.poly != res_dft.poly:
         raise AssertionError("gcd and spectral minimal polynomials disagree")
-    return CyclicCode(s.field, res_gcd.poly, provenance=s.provenance)
-
-
-def code_from_generator(field: Field, g: Poly) -> CyclicCode:
-    """Cyclic code from an explicit monic divisor of x^n - 1."""
-    return CyclicCode(field, g)
+    return CyclicCode(s.field, res_gcd.poly, provenance=s.provenance,
+                      h=res_gcd.cofactor)
 
 
 def bch_lower_bound(code: CyclicCode) -> int:

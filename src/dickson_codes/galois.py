@@ -12,7 +12,9 @@ The designated subfield GF(q) sits inside GF(r) as {0} together with the
 powers of alpha^((r-1)/(q-1)).  Codeword symbols and polynomial
 coefficients over GF(q) use this embedded representation throughout; the
 compact 0..q-1 encoding used by the search kernels lives in
-:class:`SubfieldTables`.
+:class:`SubfieldTables`.  GF(p) digit vectors for bulk addition live in
+:class:`VecTables`, and arrays indexed by log (the Zech and trace tables)
+in :class:`LogTables`.  Each table set is built on first use.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ def poly_str(coeffs) -> str:
 class Field:
     """GF(r) with r = q^m = p^(t*m), fixed generator alpha, subfield GF(q).
 
-    Elements are ints: ``ZERO`` or a discrete log in [0, r-2].  The tables
-    are immutable after construction; all operations are pure reads, so a
-    Field may be shared freely across workers.
+    Elements are ints: ``ZERO`` or a discrete log in [0, r-2].  Each table
+    is built once, some on first use, and never changes afterwards; the
+    cache of minimal polynomials only grows.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -115,6 +117,10 @@ class Field:
         self._build_tables()
         self._subfield_tables = None
         self._vec = None
+        self._log_tables = None
+        #: Minimal polynomials by q-cyclotomic coset leader, filled on
+        #: demand by :func:`dickson_codes.polyring.minimal_polynomial`.
+        self.coset_polys: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -272,6 +278,11 @@ class Field:
             self._vec = VecTables(self)
         return self._vec
 
+    def log_tables(self) -> "LogTables":
+        if self._log_tables is None:
+            self._log_tables = LogTables(self)
+        return self._log_tables
+
     # -- formatting --------------------------------------------------------
 
     def format_element(self, x: int) -> str:
@@ -384,24 +395,87 @@ class VecTables:
         rep_to_log = np.full(r, ZERO, dtype=np.int64)
         rep_to_log[codes] = np.arange(r - 1)
         self.rep_to_log = rep_to_log
+        self._packed = None
 
     def vec_of_log(self, x: int) -> np.ndarray:
         if x == ZERO:
             return np.zeros(self.deg, dtype=np.uint8)
         return self.exp_vec[x]
 
-    def vecs_of_logs(self, logs: np.ndarray) -> np.ndarray:
-        """Digit vectors for an array of logs (ZERO rows become zero)."""
-        logs = np.asarray(logs, dtype=np.int64)
-        out = np.zeros(logs.shape + (self.deg,), dtype=np.uint8)
-        mask = logs != ZERO
-        if np.any(mask):
-            out[mask] = self.exp_vec[logs[mask]]
-        return out
-
     def logs_of_vecs(self, vecs: np.ndarray) -> np.ndarray:
         packed = (vecs.astype(np.int64) @ self.pack_weights)
         return self.rep_to_log[packed]
+
+    #: (row, column) pairs per gathered block of :meth:`power_sums`
+    _BLOCK = 1 << 20
+
+    def _packing(self):
+        """Digit vectors packed into int64 words, built on first use.
+
+        Each digit takes a lane of b bits, wide enough for a sum of n
+        digits, so summing packed words adds every lane at once.  Returns
+        the lane mask and one (digits, words, shifts) triple per word:
+        ``words[k]`` packs the digits ``digits`` of alpha^k, lane i
+        shifted by ``shifts[i]``.  Small fields need one word per element.
+        """
+        if self._packed is None:
+            b = (self.field.n * (self.p - 1)).bit_length()
+            lanes = max(1, 63 // b)
+            triples = []
+            for lo in range(0, self.deg, lanes):
+                digits = slice(lo, min(self.deg, lo + lanes))
+                shifts = b * np.arange(digits.stop - lo, dtype=np.int64)
+                words = (self.exp_vec[:, digits].astype(np.int64)
+                         << shifts).sum(axis=1)
+                triples.append((digits, words, shifts))
+            self._packed = ((1 << b) - 1, triples)
+        return self._packed
+
+    def power_sums(self, rows: np.ndarray, cols: np.ndarray,
+                   col_logs: np.ndarray, sign: int = 1) -> np.ndarray:
+        """Logs of sign * sum_c alpha^(col_logs[c] + rows[r] * cols[c]),
+        one per row; |rows|, cols and col_logs lie below n.
+
+        The sums run over packed GF(p) digit vectors, in blocks of at most
+        ``_BLOCK`` (row, column) pairs and at most n columns, so that no
+        lane overflows and memory stays bounded on large fields.
+        """
+        n, p = self.field.n, self.p
+        mask, triples = self._packing()
+        # exponents stay below n^2 + n: int32 on all but the largest fields
+        dt = np.int32 if n * (n + 1) < 2**31 else np.int64
+        rows, cols, col_logs = (np.asarray(v, dtype=dt)
+                                for v in (rows, cols, col_logs))
+        acc = np.zeros((len(rows), self.deg), dtype=np.int64)
+        c_step = max(1, min(len(cols), n, self._BLOCK))
+        r_step = max(1, self._BLOCK // c_step)
+        for r0 in range(0, len(rows), r_step):
+            r = rows[r0 : r0 + r_step, None]
+            for c0 in range(0, len(cols), c_step):
+                c = slice(c0, c0 + c_step)
+                exps = (col_logs[c] + r * cols[c]) % n
+                for digits, words, shifts in triples:
+                    sums = words[exps].sum(axis=1)[:, None]
+                    acc[r0 : r0 + r_step, digits] += (sums >> shifts) & mask
+        return self.logs_of_vecs(sign * acc % p)
+
+
+class LogTables:
+    """Per-field arrays indexed by discrete log (ZERO = -1).
+
+    ``zech[k] = log(1 + alpha^k)`` is the Zech table as an array, so it
+    is also the log of every point alpha^k + 1.  ``trace`` has n + 1
+    entries: ``trace[k]`` is the log of Tr(alpha^k) and the last one is
+    ZERO, so ``trace[logs]`` maps ZERO = -1 to ZERO as well.
+    """
+
+    def __init__(self, field: Field):
+        n, m = field.n, field.m
+        self.zech = np.array(field._zech, dtype=np.int64)
+        # Tr(alpha^k) = sum_i alpha^(k q^i)
+        conjugates = [pow(field.q, i, n) for i in range(m)]
+        self.trace = np.append(field.vec_tables().power_sums(
+            np.arange(n), conjugates, np.zeros(m, dtype=np.int64)), ZERO)
 
 
 def _coords_in_span(bmat: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
@@ -439,11 +513,6 @@ def _coords_in_span(bmat: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
     if v.any():
         raise ValueError("vector does not lie in the subfield span")
     return coords.astype(np.uint8)
-
-
-def field_create(spec: FieldSpec) -> Field:
-    """Construct a field, validating that prim_poly is primitive."""
-    return Field(spec)
 
 
 def find_primitive_poly(p: int, degree: int) -> tuple[int, ...]:

@@ -1,7 +1,11 @@
 """Trace-defined periodic sequences and their minimal polynomials.
 
 A sequence is generated as s_i = Tr(f(alpha^i + 1)) for i = 0..n-1, with f
-a Dickson polynomial (plus optional offset).  The minimal polynomial and
+a Dickson polynomial (plus optional offset).  All n values come from one
+array pass: the points' logs x_i = log(alpha^i + 1) are the Zech table,
+the logs c_k + k x_i of every term of f are formed as one array and summed
+as GF(p) digit vectors (``VecTables.power_sums``), and the trace is one
+lookup in a per-field trace-by-log table.  The minimal polynomial and
 linear span are computed by two independent routes:
 
 * the gcd formula M = (x^n - 1) / gcd(x^n - 1, S(x)), and
@@ -12,9 +16,15 @@ Both are normalized monic so they can be compared verbatim; the pipeline
 asserts their agreement on every sequence it processes.
 
 The inverse transform uses c_j = -sum_t s_t alpha^{-jt}: the global factor
-is -1 because n = q^m - 1 is -1 mod p.  Rather than trusting the sign, the
-spectrum routine re-synthesizes the sequence from its coefficients and
-refuses to return on any mismatch.
+is -1 because n = q^m - 1 is -1 mod p.  Since every s_t lies in GF(q),
+c_{qj} = c_j^q, so c_j is summed only at the q-cyclotomic coset leaders
+and spread over each coset as log c_{j q^i} = q^i log c_j.  Rather than
+trusting the sign or the spread, the spectrum routine re-synthesizes the
+whole sequence from all n coefficients and refuses to return on any
+mismatch; the map from spectra to sequences is a bijection, so this
+proves every coefficient.  The support is then a union of cosets, and the
+spectral M is the product of the per-field cached minimal polynomials of
+the cosets of -I.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 from . import _codes
 from .dickson import DicksonSpec, dickson_poly
 from .galois import Field, ZERO
-from .polyring import Poly
+from .polyring import Poly, coset_table, minimal_poly_product
 
 
 @dataclass(frozen=True)
@@ -41,9 +51,9 @@ class PeriodicSequence:
         if len(self.values) != self.field.n:
             raise ValueError(
                 f"sequence length {len(self.values)} != n = {self.field.n}")
-        for v in self.values:
-            if not self.field.in_subfield(v):
-                raise ValueError("sequence value outside the GF(q) subfield")
+        step = self.field.subfield_step
+        if any(v != ZERO and v % step for v in self.values):
+            raise ValueError("sequence value outside the GF(q) subfield")
 
     @property
     def n(self) -> int:
@@ -70,16 +80,28 @@ class MinimalPolyResult:
     poly: Poly
     linear_span: int
     method: str
+    #: (x^n - 1) / poly, for the route that computes it (the gcd)
+    cofactor: Poly | None = dc_field(default=None, compare=False)
 
 
 def defining_sequence(field: Field, spec: DicksonSpec) -> PeriodicSequence:
-    """s_i = Tr(f(alpha^i + 1)) for the Dickson polynomial of `spec`."""
+    """s_i = Tr(f(alpha^i + 1)) for the Dickson polynomial of `spec`.
+
+    f is evaluated at all n points at once: with x_i = log(alpha^i + 1)
+    read off the Zech table, f(alpha^i + 1) = sum_k alpha^(c_k + k x_i)
+    over the nonzero coefficients c_k.  The one point alpha^i = -1 where
+    x_i is ZERO takes f(0) = c_0.
+    """
     f = dickson_poly(spec, field)
-    values = []
-    for i in range(field.n):
-        point = field.add(i % (field.r - 1), field.one)
-        values.append(field.trace(f(point)))
-    return PeriodicSequence(field=field, values=tuple(values), provenance=spec)
+    lt, vt = field.log_tables(), field.vec_tables()
+    exps = np.array([k for k, c in enumerate(f.coeffs) if c != ZERO],
+                    dtype=np.int64)
+    coeffs = np.array(f.coeffs, dtype=np.int64)[exps]
+    # x^k = x^(k mod n) at every nonzero point
+    values = vt.power_sums(lt.zech, exps % field.n, coeffs)
+    values[lt.zech == ZERO] = f[0]
+    return PeriodicSequence(field=field, values=tuple(lt.trace[values].tolist()),
+                            provenance=spec)
 
 
 def sequence_poly(s: PeriodicSequence) -> Poly:
@@ -88,14 +110,11 @@ def sequence_poly(s: PeriodicSequence) -> Poly:
 
 
 def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:
-    """Minimal polynomial via M = (x^n - 1)/gcd(x^n - 1, S(x))."""
-    F = s.field
-    n = F.n
-    st = F.subfield_tables()
+    """Minimal polynomial via M = (x^n - 1)/gcd(x^n - 1, S(x)); the gcd is
+    returned as the cofactor."""
+    st = s.field.subfield_tables()
     s_codes = st.codes_of_logs(s.values).astype(np.int16)
-    xn1 = np.zeros(n + 1, dtype=np.int16)
-    xn1[0] = st.neg[st.scalar_code(1)]
-    xn1[n] = st.scalar_code(1)
+    xn1 = _codes.xn_minus_1(st)
     g = _codes.codes_gcd(xn1, s_codes, st)
     quot, rem = _codes.codes_divmod(xn1, g, st)
     if len(rem):
@@ -104,9 +123,10 @@ def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:
         quot = quot.copy()
         quot[:] = st.mul[st.inv[quot[-1]], quot]
     m_poly = _codes.codes_to_poly(quot, st)
-    span = n - (len(g) - 1)
+    span = s.field.n - (len(g) - 1)
     _check_recurrence(s_codes, quot, st)
-    return MinimalPolyResult(poly=m_poly, linear_span=span, method="gcd")
+    return MinimalPolyResult(poly=m_poly, linear_span=span, method="gcd",
+                             cofactor=_codes.codes_to_poly(g, st))
 
 
 def _check_recurrence(s_codes: np.ndarray, m_codes: np.ndarray,
@@ -116,86 +136,51 @@ def _check_recurrence(s_codes: np.ndarray, m_codes: np.ndarray,
     With M the monic quotient (x^n-1)/gcd(x^n-1, S), the annihilation
     identity is the cyclic convolution S(x)M(x) = 0 mod x^n - 1, i.e. the
     backward form sum_j m_j s_{i-j} = 0 for every i (wrap-around
-    included).
+    included).  All n sums come from one product S(x)M(x), folded at x^n.
     """
-    span = len(m_codes) - 1
-    if span == 0:
-        if np.any(s_codes):
-            raise AssertionError("M = 1 but the sequence is nonzero")
-        return
-    acc = np.zeros(len(s_codes), dtype=np.int16)
-    for j, cj in enumerate(m_codes):
-        if cj == 0:
-            continue
-        acc = st.add[acc, st.mul[cj, np.roll(s_codes, j)]].astype(np.int16)
-    if np.any(acc):
+    n = len(s_codes)
+    folded = np.zeros(2 * n, dtype=np.int16)
+    prod = _codes.codes_mul(s_codes, m_codes, st)
+    folded[: len(prod)] = prod
+    if np.any(st.add[folded[:n], folded[n:]]):
         raise AssertionError("minimal polynomial recurrence fails on the sequence")
 
 
 def spectrum(s: PeriodicSequence) -> Spectrum:
-    """Spectral coefficients with the reconstruction identity verified."""
+    """Spectral coefficients with the reconstruction identity verified.
+
+    c_j is summed only at the q-cyclotomic coset leaders; the rest follow
+    from c_{j q^i} = c_j^(q^i).  The full reconstruction s_t = sum_j c_j
+    alpha^{jt} is then checked for every t, which proves every c_j.
+    """
     F = s.field
     n = F.n
     vt = F.vec_tables()
-    p, deg = F.p, F.ext_deg
     s_logs = np.array(s.values, dtype=np.int64)
-    t_idx = np.nonzero(s_logs != ZERO)[0]
+    t_idx = np.flatnonzero(s_logs != ZERO)
     if len(t_idx) == 0:
         return Spectrum(field=F, coeffs=(ZERO,) * n, support=())
-    j = np.arange(n, dtype=np.int64)
-    # exponent of alpha in s_t * alpha^{-jt}
-    prod_logs = (s_logs[t_idx][None, :] - j[:, None] * t_idx[None, :]) % n
-    digit_sum = np.zeros((n, deg), dtype=np.int64)
-    # sum digit vectors over t in chunks to bound memory
-    chunk = max(1, (1 << 22) // (n * deg + 1))
-    for lo in range(0, len(t_idx), chunk):
-        block = vt.exp_vec[prod_logs[:, lo : lo + chunk]]
-        digit_sum += block.sum(axis=1, dtype=np.int64)
-    c_vecs = (-digit_sum) % p
-    c_logs = vt.logs_of_vecs(c_vecs)
-    support = tuple(int(i) for i in np.nonzero(c_logs != ZERO)[0])
-
-    # reconstruction: s_t = sum_j c_j alpha^{jt}
-    sup = np.array(support, dtype=np.int64)
-    if len(sup) == 0:
-        recon_ok = not np.any(s_logs != ZERO)
-    else:
-        t = np.arange(n, dtype=np.int64)
-        rec_logs = (c_logs[sup][None, :] + t[:, None] * sup[None, :]) % n
-        rec_sum = np.zeros((n, deg), dtype=np.int64)
-        chunk = max(1, (1 << 22) // (n * deg + 1))
-        for lo in range(0, len(sup), chunk):
-            block = vt.exp_vec[rec_logs[:, lo : lo + chunk]]
-            rec_sum += block.sum(axis=1, dtype=np.int64)
-        rec = vt.logs_of_vecs(rec_sum % p)
-        recon_ok = np.array_equal(rec, s_logs)
-    if not recon_ok:
+    cosets = coset_table(n, F.q)
+    # c_j = -sum_t s_t alpha^{-jt} at the leaders
+    lead = vt.power_sums(-cosets.leaders, t_idx, s_logs[t_idx], sign=-1)
+    c_logs = lead[cosets.index]
+    c_logs = np.where(c_logs == ZERO, ZERO, c_logs * cosets.power % n)
+    sup = np.flatnonzero(c_logs != ZERO)
+    rec = vt.power_sums(np.arange(n, dtype=np.int64), sup, c_logs[sup])
+    if not np.array_equal(rec, s_logs):
         raise AssertionError("spectrum reconstruction identity failed")
-    return Spectrum(field=F, coeffs=tuple(int(c) for c in c_logs), support=support)
+    return Spectrum(field=F, coeffs=tuple(c_logs.tolist()),
+                    support=tuple(sup.tolist()))
 
 
 def minimal_poly_dft(s: PeriodicSequence) -> MinimalPolyResult:
-    """Minimal polynomial as prod_{i in I}(x - alpha^{-i}), monic."""
-    F = s.field
+    """Minimal polynomial prod_{i in I}(x - alpha^{-i}), monic.
+
+    The support I is a union of q-cyclotomic cosets, and so is -I: M is
+    the product of the cached minimal polynomials of its cosets, each
+    checked to lie in GF(q) when it was built.
+    """
     spec = spectrum(s)
-    roots = [(-i) % F.n for i in spec.support]
-    m_poly = _poly_from_roots(F, roots)
-    if not m_poly.in_subfield():
-        raise AssertionError("spectral minimal polynomial leaves GF(q)")
-    return MinimalPolyResult(poly=m_poly, linear_span=len(spec.support),
-                             method="dft")
-
-
-def _poly_from_roots(F: Field, roots) -> Poly:
-    """prod (x - alpha^j) via vectorized coefficient updates."""
-    vt = F.vec_tables()
-    p, n = F.p, F.n
-    coeffs = np.array([0], dtype=np.int64)  # the unit polynomial
-    for root in roots:
-        shifted = np.concatenate(([np.int64(ZERO)], coeffs))
-        scaled = np.where(coeffs != ZERO, (coeffs + root) % n, ZERO)
-        scaled = np.concatenate((scaled, [np.int64(ZERO)]))
-        diff = (vt.vecs_of_logs(shifted).astype(np.int64)
-                - vt.vecs_of_logs(scaled)) % p
-        coeffs = vt.logs_of_vecs(diff)
-    return Poly(F, [int(c) for c in coeffs])
+    roots = [-i for i in spec.support]
+    return MinimalPolyResult(poly=minimal_poly_product(s.field, roots),
+                             linear_span=len(spec.support), method="dft")

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .galois import Field, ZERO
 
@@ -247,37 +250,77 @@ def cyclotomic_coset(n: int, q: int, j: int) -> CyclotomicCoset:
     return CyclotomicCoset(leader=min(members), members=tuple(members))
 
 
-def coset_leaders(n: int, q: int) -> list[int]:
-    """Sorted coset leaders; the cosets of these partition Z_n."""
+@dataclass(frozen=True)
+class CosetTable:
+    """The q-cyclotomic cosets modulo n as arrays.
+
+    ``leaders`` holds the coset leaders in increasing order.  For every j
+    in Z_n, ``index[j]`` is the position in ``leaders`` of the leader l of
+    j's coset, and ``power[j]`` is q^i mod n for the first i with
+    j = l * q^i mod n.
+    """
+
+    leaders: np.ndarray
+    index: np.ndarray
+    power: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def coset_table(n: int, q: int) -> CosetTable:
     if math.gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) must be 1")
-    seen = [False] * n
-    leaders = []
+    index, power, leaders = [-1] * n, [0] * n, []
     for j in range(n):
-        if seen[j]:
+        if index[j] >= 0:
             continue
+        k, pw = j, 1 % n
+        while index[k] < 0:
+            index[k], power[k] = len(leaders), pw
+            k, pw = k * q % n, pw * q % n
         leaders.append(j)
-        k = j
-        while not seen[k]:
-            seen[k] = True
-            k = k * q % n
-    return leaders
+    arrays = [np.array(v, dtype=np.int64) for v in (leaders, index, power)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return CosetTable(*arrays)
+
+
+def coset_leaders(n: int, q: int) -> list[int]:
+    """Sorted coset leaders; the cosets of these partition Z_n."""
+    return coset_table(n, q).leaders.tolist()
 
 
 def minimal_polynomial(field: Field, a: int) -> Poly:
     """Minimal polynomial of a over GF(q): the product over the coset of
-    its exponent, monic, with coefficients in the subfield; x for a = 0."""
+    its exponent, monic, with coefficients in the subfield; x for a = 0.
+
+    Each coset's polynomial is built once per field, kept in
+    ``field.coset_polys`` under the coset leader, and shared from then on.
+    """
     if a == ZERO:
         return Poly.x(field)
     n = field.n
-    coset = cyclotomic_coset(n, field.q, a % n)
+    table = coset_table(n, field.q)
+    leader = int(table.leaders[table.index[a % n]])
+    out = field.coset_polys.get(leader)
+    if out is None:
+        out = Poly.one(field)
+        for j in cyclotomic_coset(n, field.q, leader).members:
+            out = out * Poly(field, (field.neg(j), field.one))
+        if not out.in_subfield():
+            raise AssertionError(
+                f"minimal polynomial of a^{a} has coefficients outside "
+                f"GF({field.q})")
+        field.coset_polys[leader] = out
+    return out
+
+
+def minimal_poly_product(field: Field, exponents) -> Poly:
+    """The product of the minimal polynomials of alpha^e, one factor per
+    distinct q-cyclotomic coset among the exponents."""
+    table = coset_table(field.n, field.q)
     out = Poly.one(field)
-    for j in coset.members:
-        root = j % n
-        out = out * Poly(field, (field.neg(root), field.one))
-    if not out.in_subfield():
-        raise AssertionError(
-            f"minimal polynomial of a^{a} has coefficients outside GF({field.q})")
+    for pos in sorted({int(table.index[e % field.n]) for e in exponents}):
+        out = out * minimal_polynomial(field, int(table.leaders[pos]))
     return out
 
 
@@ -285,17 +328,6 @@ def factor_xn_minus_1(n: int, field: Field) -> list[tuple[CyclotomicCoset, Poly]
     """Irreducible factors of x^n - 1 over GF(q), one per coset leader."""
     if n != field.n:
         raise ValueError(f"n={n} must equal r-1={field.n} for this field")
-    out = []
-    for leader in coset_leaders(n, field.q):
-        coset = cyclotomic_coset(n, field.q, leader)
-        out.append((coset, _coset_poly(field, coset)))
-    return out
-
-
-def _coset_poly(field: Field, coset: CyclotomicCoset) -> Poly:
-    out = Poly.one(field)
-    for j in coset.members:
-        out = out * Poly(field, (field.neg(j % field.n), field.one))
-    if not out.in_subfield():
-        raise AssertionError("coset factor has coefficients outside GF(q)")
-    return out
+    return [(cyclotomic_coset(n, field.q, leader),
+             minimal_polynomial(field, leader))
+            for leader in coset_leaders(n, field.q)]

@@ -26,7 +26,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -35,7 +34,7 @@ from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
 from .dickson import DicksonSpec
 from .galois import Field, ZERO
 from .lfsr import defining_sequence
-from .polyring import Poly, cyclotomic_coset, minimal_polynomial
+from .polyring import Poly, cyclotomic_coset, minimal_poly_product
 from .registry import Registry, UnknownEntryError, default_registry
 
 TABLE_IDS = ("D1", "D2", "D3", "D4", "D5", "D7", "E", "MORE")
@@ -113,18 +112,8 @@ def _sources_ok(F: Field, exponents) -> bool:
 def _assemble(F: Field, delta_arg: int, exponents) -> tuple[Poly, int]:
     """(x-1)^delta(arg) * prod of minimal polynomials of alpha^{-e}."""
     delta = F.delta(delta_arg)
-    g = Poly.one(F)
-    if delta:
-        g = g * minimal_polynomial(F, F.one)  # x - 1
-    seen = set()
-    for e in exponents:
-        a = (-e) % F.n
-        leader = cyclotomic_coset(F.n, F.q, a).leader
-        if leader in seen:
-            continue
-        seen.add(leader)
-        g = g * minimal_polynomial(F, a)
-    return g.monic(), delta
+    roots = [0] * delta + [-e for e in exponents]  # alpha^0 = 1: x - 1
+    return minimal_poly_product(F, roots), delta
 
 
 def _is_p_power(h: int, p: int) -> bool:
@@ -631,16 +620,10 @@ def process_row(row: TableRow, registry: Registry,
 
 
 def run_table(table_id: str, registry: Registry | None = None,
-              cfg: DistanceConfig | None = None,
-              workers: int = 1) -> TableReport:
+              cfg: DistanceConfig | None = None) -> TableReport:
     registry = registry or default_registry()
     errata = load_errata()
-    rows = load_table(table_id)
     cfg = cfg or table_distance_config(table_id)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda r: process_row(r, registry, errata, cfg), rows))
-    else:
-        reports = [process_row(r, registry, errata, cfg) for r in rows]
+    reports = [process_row(r, registry, errata, cfg)
+               for r in load_table(table_id)]
     return TableReport(table=table_id, rows=reports)

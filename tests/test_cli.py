@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from dickson_codes import cli, cyclic
 from dickson_codes.cli import main
 
 
@@ -23,6 +24,27 @@ def test_code_command_json(capsys):
     assert (payload["n"], payload["k"], payload["d"]) == (15, 7, 5)
     assert payload["d_exact"] is True
     assert payload["generator"].split() == "1 1 1 0 1 0 0 0 1".split()
+
+
+def test_code_command_computes_bch_bound_once(capsys, monkeypatch):
+    calls = []
+    for module in (cyclic, cli):
+        bound = module.bch_lower_bound
+
+        def counted(code, _bound=bound):
+            calls.append(1)
+            return _bound(code)
+
+        monkeypatch.setattr(module, "bch_lower_bound", counted)
+    argv = ("code", "--q", "2", "--m", "4", "--kind", "D", "--order", "3",
+            "--a", "1")
+    status, out, _ = run_cli(capsys, *argv, "--distance", "exact")
+    assert status == 0 and len(calls) == 1
+    assert json.loads(out)["bch_bound"] == 5
+    calls.clear()
+    status, out, _ = run_cli(capsys, *argv, "--distance", "none")
+    assert status == 0 and len(calls) == 1
+    assert json.loads(out)["bch_bound"] == 5
 
 
 def test_code_command_csv(capsys):

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dickson_codes.cyclic import (DistanceConfig, _colex_array,
+from dickson_codes.cyclic import (CyclicCode, DistanceConfig, _colex_array,
                                   _exhaustive_distance, _isd_witness,
                                   _mitm_sides, _MitmInfeasible,
                                   _pair_weights, _rref_codes, _rref_via_parity,
-                                  bch_lower_bound,
-                                  code_from_generator, code_from_sequence,
+                                  bch_lower_bound, code_from_sequence,
                                   codeword_blocks,
                                   even_like_subcode, minimum_distance,
                                   parity_matrix_from_roots, row_space_rref,
@@ -53,19 +52,31 @@ def test_generator_times_parity_is_xn_minus_1():
         assert (c.g * c.h) == Poly.xn_minus_1(c.field, c.n)
 
 
+def test_given_parity_polynomial_is_checked_by_product():
+    c = build(3, 3, "D", 4, "a")
+    again = CyclicCode(c.field, c.g, h=c.h)  # checked, not divided
+    assert again.h is c.h and again.k == c.k
+    f = REG.field(2, 3)
+    g = Poly.from_ints(f, [1, 1, 0, 1])
+    with pytest.raises(ValueError):
+        CyclicCode(f, g, h=Poly.from_ints(f, [1, 1, 1]))  # g * h != x^7 - 1
+    with pytest.raises(ValueError):
+        CyclicCode(f, g, h=Poly.from_ints(REG.field(2, 4), [1, 1]))
+
+
 def test_code_from_generator():
     f = REG.field(2, 3)
-    full = code_from_generator(f, Poly.one(f))
+    full = CyclicCode(f, Poly.one(f))
     assert full.k == 7
-    even = code_from_generator(f, Poly.from_ints(f, [-1, 1]))
+    even = CyclicCode(f, Poly.from_ints(f, [-1, 1]))
     assert even.k == 6
     assert minimum_distance(even).value == 2
-    zero_code = code_from_generator(f, Poly.xn_minus_1(f, 7))
+    zero_code = CyclicCode(f, Poly.xn_minus_1(f, 7))
     assert zero_code.k == 0
     with pytest.raises(ValueError):
-        code_from_generator(f, Poly.from_ints(f, [1, 0, 1]))  # not a divisor
+        CyclicCode(f, Poly.from_ints(f, [1, 0, 1]))  # not a divisor
     with pytest.raises(ValueError):
-        code_from_generator(f, Poly.from_ints(f, [1, 1]).scale(ZERO))
+        CyclicCode(f, Poly.from_ints(f, [1, 1]).scale(ZERO))
 
 
 def test_bch_bound_examples():
@@ -78,13 +89,13 @@ def test_bch_bound_examples():
     g = Poly.from_ints(f32, [-1, 1])
     for j in (1, 3, 5):
         g = g * minimal_polynomial(f32, f32.inv(j))
-    c2 = code_from_generator(f32, g.monic())
+    c2 = CyclicCode(f32, g.monic())
     assert bch_lower_bound(c2) == 8
     # g = x - 1 -> bound 2
-    c3 = code_from_generator(f32, Poly.from_ints(f32, [-1, 1]))
+    c3 = CyclicCode(f32, Poly.from_ints(f32, [-1, 1]))
     assert bch_lower_bound(c3) == 2
     # g = 1 -> full space, bound 1
-    assert bch_lower_bound(code_from_generator(f32, Poly.one(f32))) == 1
+    assert bch_lower_bound(CyclicCode(f32, Poly.one(f32))) == 1
 
 
 def test_minimum_distance_examples():
@@ -105,7 +116,7 @@ def test_minimum_distance_examples():
 
 def test_minimum_distance_rejects_zero_code():
     f = REG.field(2, 3)
-    zero_code = code_from_generator(f, Poly.xn_minus_1(f, 7))
+    zero_code = CyclicCode(f, Poly.xn_minus_1(f, 7))
     with pytest.raises(ValueError):
         minimum_distance(zero_code)
 
@@ -114,7 +125,7 @@ def test_weight_distribution_examples():
     c = build(2, 3, "D", 2, "1")
     assert weight_distribution(c) == {0: 1, 4: 7}
     f = REG.field(2, 2)
-    full = code_from_generator(f, Poly.one(f))
+    full = CyclicCode(f, Poly.one(f))
     assert weight_distribution(full) == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
@@ -123,20 +134,20 @@ def test_reciprocal_code_same_weight_distribution():
     from dickson_codes.polyring import reciprocal
 
     c = build(2, 4, "D", 3, "1")
-    rec = code_from_generator(c.field, reciprocal(c.g))
+    rec = CyclicCode(c.field, reciprocal(c.g))
     assert weight_distribution(c) == weight_distribution(rec)
 
 
 def test_even_like_subcode():
     f = REG.field(2, 3)
-    ham = code_from_generator(f, Poly.from_ints(f, [1, 1, 0, 1]))
+    ham = CyclicCode(f, Poly.from_ints(f, [1, 1, 0, 1]))
     assert minimum_distance(ham).value == 3
     sub = even_like_subcode(ham)
     assert (sub.n, sub.k) == (7, 3)
     assert minimum_distance(sub).value == 4
     assert even_like_subcode(sub) is sub  # idempotent
     # full space -> sum-zero code with d = 2
-    full = code_from_generator(f, Poly.one(f))
+    full = CyclicCode(f, Poly.one(f))
     sums = even_like_subcode(full)
     assert sums.k == 6 and minimum_distance(sums).value == 2
 
@@ -253,15 +264,6 @@ def test_distance_unresolved_reports_bound():
     assert d.value == 4  # weights 2..3 ruled out by completed sweeps
 
 
-def test_worker_count_does_not_change_results():
-    from dickson_codes.verify import run_table
-
-    r1 = run_table("E", workers=1)
-    r2 = run_table("E", workers=3)
-    assert [(r.status, r.computed_d) for r in r1.rows] \
-        == [(r.status, r.computed_d) for r in r2.rows]
-
-
 def small_cyclic_codes(cap):
     """Cyclic codes whose generators are seeded random products of the
     q-cyclotomic factors of x^n - 1, with q^k and q^(n-k) both <= cap."""
@@ -280,7 +282,7 @@ def small_cyclic_codes(cap):
                     g = g * f
             k = F.n - g.degree
             if q**k <= cap and q**(F.n - k) <= cap:
-                yield code_from_generator(F, g.monic())
+                yield CyclicCode(F, g.monic())
                 picked += 1
             if picked == 6:
                 break
@@ -294,7 +296,7 @@ def krawtchouk(j, i, n, q):
 def test_weight_distribution_satisfies_macwilliams():
     seen_q = set()
     for c in small_cyclic_codes(1 << 16):
-        dual = code_from_generator(c.field, reciprocal(c.h))
+        dual = CyclicCode(c.field, reciprocal(c.h))
         assert dual.k == c.n - c.k
         A = weight_distribution(c)
         B = weight_distribution(dual)
@@ -329,7 +331,7 @@ def test_exhaustive_witness_is_smallest_minimum_weight_codeword():
 def test_full_code_witness_matches_enumeration():
     for q, m in [(2, 3), (3, 2)]:
         F = REG.field(q, m)
-        full = code_from_generator(F, Poly.one(F))
+        full = CyclicCode(F, Poly.one(F))
         d = minimum_distance(full)
         assert (d.value, d.witness) == _exhaustive_distance(full)
 
@@ -365,14 +367,14 @@ def random_cyclic_codes(draw, max_n=31, max_size=1 << 12, qs=DIFF_QS):
     for i, f in enumerate(factors):
         if i not in free:
             g = g * f
-    return code_from_generator(F, g.monic())
+    return CyclicCode(F, g.monic())
 
 
 def _non_reversible(q, m, g_ints):
     F = REG.field(q, m)
     g = Poly.from_ints(F, g_ints)
     assert reciprocal(g) != g
-    return code_from_generator(F, g)
+    return CyclicCode(F, g)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -411,7 +413,7 @@ def test_rref_via_parity_on_both_rates():
     F = REG.field(2, 5)
     g = Poly.from_ints(F, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1
     for gen in (g, Poly.xn_minus_1(F, 31) // g):  # [31, 26] and [31, 5]
-        _check_rref_via_parity(code_from_generator(F, gen.monic()), [1, 2, 3])
+        _check_rref_via_parity(CyclicCode(F, gen.monic()), [1, 2, 3])
 
 
 def test_isd_rank_loss_is_an_internal_error(monkeypatch):
@@ -484,7 +486,7 @@ def _binary_15(*factors):
     g = Poly.one(F)
     for f in factors:
         g = g * Poly.from_ints(F, f)
-    return code_from_generator(F, g)
+    return CyclicCode(F, g)
 
 
 HAMMING = [1, 1, 0, 0, 1]  # x^4 + x + 1: the [15, 11, 3] Hamming code

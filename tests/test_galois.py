@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from dickson_codes.galois import (Field, FieldError, FieldSpec, ZERO,
-                                  artin_cubic_has_nonzero_root, field_create,
+from dickson_codes.galois import (Field, FieldError, FieldSpec, VecTables,
+                                  ZERO, artin_cubic_has_nonzero_root,
                                   find_primitive_poly)
 from dickson_codes.registry import default_registry
 
 
 def gf8():
-    return field_create(FieldSpec(p=2, t=1, m=3, prim_poly=(1, 1, 0, 1)))
+    return Field(FieldSpec(p=2, t=1, m=3, prim_poly=(1, 1, 0, 1)))
 
 
 def test_gf8_defining_relation():
@@ -22,21 +22,21 @@ def test_gf8_defining_relation():
 
 
 def test_gf16_subfield_is_fifth_powers():
-    f = field_create(FieldSpec(p=2, t=2, m=2, prim_poly=(1, 1, 0, 0, 1)))
+    f = Field(FieldSpec(p=2, t=2, m=2, prim_poly=(1, 1, 0, 0, 1)))
     assert f.subfield_logs() == [ZERO, 0, 5, 10]
     assert all(f.in_subfield(x) for x in f.subfield_logs())
 
 
 def test_reducible_polynomial_rejected():
     with pytest.raises(FieldError) as exc:
-        field_create(FieldSpec(p=2, t=1, m=3, prim_poly=(1, 1, 1, 1)))
+        Field(FieldSpec(p=2, t=1, m=3, prim_poly=(1, 1, 1, 1)))
     assert "1 + x + x^2 + x^3" in str(exc.value)
 
 
 def test_non_primitive_polynomial_rejected():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5
     with pytest.raises(FieldError):
-        field_create(FieldSpec(p=2, t=1, m=4, prim_poly=(1, 1, 1, 1, 1)))
+        Field(FieldSpec(p=2, t=1, m=4, prim_poly=(1, 1, 1, 1, 1)))
 
 
 def test_wrong_degree_rejected():
@@ -69,9 +69,9 @@ def test_out_of_range_element_rejected():
 def test_trace_examples():
     f8 = gf8()
     assert f8.trace(f8.one) == f8.one  # GF(8)->GF(2): 1+1+1 = 1
-    f16 = field_create(FieldSpec(p=2, t=2, m=2, prim_poly=(1, 1, 0, 0, 1)))
+    f16 = Field(FieldSpec(p=2, t=2, m=2, prim_poly=(1, 1, 0, 0, 1)))
     assert f16.trace(f16.one) == ZERO  # GF(16)->GF(4): 1+1 = 0
-    f9 = field_create(FieldSpec(p=3, t=1, m=2, prim_poly=(2, 2, 1)))
+    f9 = Field(FieldSpec(p=3, t=1, m=2, prim_poly=(2, 2, 1)))
     assert f9.trace(f9.one) == f9.scalar(2)  # GF(9)->GF(3): 1+1 = 2
 
 
@@ -186,3 +186,42 @@ def test_registry_overrides_present():
     # the swapped entries build fields of the right size
     assert reg.field(8, 2).r == 64
     assert reg.field(9, 2).r == 81
+
+
+def test_log_tables_match_scalar_arithmetic():
+    reg = default_registry()
+    for q, m in [(2, 1), (2, 4), (3, 3), (4, 2), (8, 2), (9, 2), (9, 1)]:
+        f = reg.field(q, m)
+        lt = f.log_tables()
+        assert len(lt.trace) == f.n + 1 and lt.trace[ZERO] == ZERO
+        assert lt.trace[:f.n].tolist() == [f.trace(x) for x in range(f.n)]
+        assert lt.zech.tolist() == [f.add(f.one, x) for x in range(f.n)]
+
+
+def test_codes_of_logs_rejects_values_outside_the_subfield():
+    f = default_registry().field(4, 2)  # GF(4) = {0} + logs 0, 5, 10
+    st = f.subfield_tables()
+    assert st.codes_of_logs([ZERO, 0, 5, 10]).tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        st.codes_of_logs([0, 1])
+
+
+@pytest.mark.parametrize("block", [1 << 20, 7])
+def test_power_sums_match_scalar_sums(monkeypatch, block):
+    # GF(2^8) packs its 8 digits into two words; block 7 splits both the
+    # rows and the columns of the exponent grid into many blocks
+    monkeypatch.setattr(VecTables, "_BLOCK", block)
+    reg = default_registry()
+    rng = random.Random(17)
+    for q, m in [(2, 8), (3, 3), (9, 2), (2, 1)]:
+        f = reg.field(q, m)
+        rows = [rng.randrange(-f.n + 1, f.n) for _ in range(9)]
+        cols = [rng.randrange(f.n) for _ in range(12)]
+        col_logs = [rng.randrange(f.n) for _ in cols]
+        for sign in (1, -1):
+            got = f.vec_tables().power_sums(rows, cols, col_logs, sign=sign)
+            for r, value in zip(rows, got.tolist()):
+                acc = ZERO
+                for c, lg in zip(cols, col_logs):
+                    acc = f.add(acc, (lg + r * c) % f.n)
+                assert value == (acc if sign == 1 else f.neg(acc))

@@ -3,16 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from dickson_codes.dickson import DicksonSpec
+from dickson_codes.dickson import DicksonSpec, dickson_poly
 from dickson_codes.galois import ZERO
-from dickson_codes.lfsr import (PeriodicSequence, defining_sequence,
-                                minimal_poly_dft, minimal_poly_gcd,
-                                sequence_poly, spectrum)
+from dickson_codes import _codes
+from dickson_codes.lfsr import (PeriodicSequence, _check_recurrence,
+                                defining_sequence, minimal_poly_dft,
+                                minimal_poly_gcd, sequence_poly, spectrum)
 from dickson_codes.polyring import Poly, minimal_polynomial
 from dickson_codes.registry import default_registry
 
 REG = default_registry()
+
+#: One field per subfield size 2, 3, 4, 5, 7, 8, 9; GF(4), GF(8) and GF(9)
+#: are the fields with t > 1.
+DIFF_FIELDS = ((2, 4), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2))
 
 
 def bits(s):
@@ -147,3 +154,73 @@ def test_symbol_string_and_sequence_poly():
     s = defining_sequence(f, DicksonSpec(kind="D", h=1, a=ZERO))
     assert s.symbol_string() == "0 1 1 0 1 0 0"
     assert sequence_poly(s) == Poly.from_ints(f, [0, 1, 1, 0, 1])
+
+
+def _pointwise_sequence(F, spec):
+    """The defining sequence one point at a time, through scalar field
+    arithmetic only."""
+    f = dickson_poly(spec, F)
+    return tuple(F.trace(f(F.add(t, F.one))) for t in range(F.n))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(),
+       # m = 1 fields have the trace as the identity; GF(2) has n = 1
+       qm=hst.sampled_from(DIFF_FIELDS + ((2, 1), (3, 1), (4, 1), (9, 1),
+                                          (2, 7))),
+       kind=hst.sampled_from("DE"), h=hst.integers(0, 14))
+def test_defining_sequence_matches_pointwise_evaluation(data, qm, kind, h):
+    F = REG.field(*qm)
+    elements = [ZERO] + list(range(F.n))
+    a = data.draw(hst.sampled_from(elements))
+    offset = data.draw(hst.sampled_from([ZERO, F.neg(F.one)] + elements))
+    spec = DicksonSpec(kind=kind, h=h, a=a, offset=offset)
+    assert defining_sequence(F, spec).values == _pointwise_sequence(F, spec)
+
+
+def _full_dft(F, values):
+    """c_j = -sum_t s_t alpha^{-jt} for every j in 0..n-1, one scalar
+    field operation at a time."""
+    coeffs = []
+    for j in range(F.n):
+        acc = ZERO
+        for t, v in enumerate(values):
+            acc = F.add(acc, F.mul(v, F.pow(F.alpha, -j * t)))
+        coeffs.append(F.neg(acc))
+    return tuple(coeffs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), qm=hst.sampled_from(DIFF_FIELDS),
+       dickson=hst.booleans())
+def test_leader_spectrum_matches_full_dft(data, qm, dickson):
+    F = REG.field(*qm)
+    if dickson:
+        spec = DicksonSpec(kind=data.draw(hst.sampled_from("DE")),
+                           h=data.draw(hst.integers(0, 12)),
+                           a=data.draw(hst.sampled_from([ZERO] + list(range(F.n)))))
+        values = defining_sequence(F, spec).values
+    else:
+        sub = F.subfield_logs()
+        values = tuple(data.draw(hst.lists(hst.sampled_from(sub),
+                                           min_size=F.n, max_size=F.n)))
+    spc = spectrum(PeriodicSequence(field=F, values=values))
+    full = _full_dft(F, values)
+    assert spc.coeffs == full
+    assert spc.support == tuple(j for j, c in enumerate(full) if c != ZERO)
+
+
+def test_recurrence_check_rejects_a_proper_divisor():
+    # q=3, m=3, D_4(x, a): M has several coset factors; dropping one leaves
+    # a polynomial whose recurrence no longer annihilates s
+    f = REG.field(3, 3)
+    st = f.subfield_tables()
+    s = defining_sequence(f, DicksonSpec(kind="D", h=4, a=f.alpha))
+    s_codes = st.codes_of_logs(s.values).astype("int16")
+    m = minimal_poly_gcd(s).poly
+    _check_recurrence(s_codes, _codes.poly_to_codes(m, st), st)
+    factor = minimal_polynomial(f, f.inv(f.alpha))
+    part, rem = divmod(m, factor)
+    assert rem.is_zero() and part.degree > 0
+    with pytest.raises(AssertionError):
+        _check_recurrence(s_codes, _codes.poly_to_codes(part, st), st)

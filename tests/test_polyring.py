@@ -1,12 +1,17 @@
 """Polynomial ring operations, cyclotomic cosets, minimal polynomials."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from dickson_codes import _codes
 from dickson_codes.galois import ZERO
-from dickson_codes.polyring import (Poly, coset_leaders, cyclotomic_coset,
-                                    factor_xn_minus_1, minimal_polynomial,
+from dickson_codes.polyring import (Poly, coset_leaders, coset_table,
+                                    cyclotomic_coset, factor_xn_minus_1,
+                                    minimal_poly_product, minimal_polynomial,
                                     reciprocal)
 from dickson_codes.registry import default_registry
 
@@ -215,3 +220,57 @@ def test_poly_text_format():
     assert Poly.zero(f).text() == "0"
     f9 = REG.field(9, 1)
     assert Poly(f9, (3, ZERO, 0)).text() == "a^3 0 1"
+
+
+DIFF_FIELDS = ((2, 4), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2))
+
+
+def test_coset_table_matches_cyclotomic_cosets():
+    for q, m in DIFF_FIELDS + ((2, 7), (4, 3)):
+        n = q**m - 1
+        table = coset_table(n, q)
+        assert table.leaders.tolist() == coset_leaders(n, q)
+        powers = {pow(q, i, n) for i in range(m)}
+        for j in range(n):
+            leader = int(table.leaders[table.index[j]])
+            assert leader == cyclotomic_coset(n, q, j).leader
+            assert leader * table.power[j] % n == j
+            assert table.power[j] in powers
+
+
+def test_cached_coset_polynomial_matches_fresh_product():
+    for q, m in DIFF_FIELDS:
+        F = REG.field(q, m)
+        for j in range(F.n):
+            fresh = Poly.one(F)
+            for i in cyclotomic_coset(F.n, q, j).members:
+                fresh = fresh * Poly(F, (F.neg(i), F.one))
+            cached = minimal_polynomial(F, j)
+            assert cached == fresh and minimal_polynomial(F, j) is cached
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), qm=hst.sampled_from(DIFF_FIELDS))
+def test_codes_mul_matches_poly_product(data, qm):
+    F = REG.field(*qm)
+    st = F.subfield_tables()
+    sub = F.subfield_logs()
+    a, b = (Poly(F, data.draw(hst.lists(hst.sampled_from(sub), max_size=30)))
+            for _ in range(2))
+    got = _codes.codes_mul(_codes.poly_to_codes(a, st),
+                           _codes.poly_to_codes(b, st), st)
+    assert _codes.codes_to_poly(got, st) == a * b
+
+
+def test_minimal_poly_product_matches_product_of_linear_factors():
+    rng = random.Random(3)
+    for q, m in DIFF_FIELDS:
+        F = REG.field(q, m)
+        for _ in range(10):
+            exps = [rng.randrange(-F.n, F.n) for _ in range(rng.randrange(6))]
+            roots = {j for e in exps
+                     for j in cyclotomic_coset(F.n, q, e % F.n).members}
+            expected = Poly.one(F)
+            for j in sorted(roots):
+                expected = expected * Poly(F, (F.neg(j), F.one))
+            assert minimal_poly_product(F, exps) == expected
