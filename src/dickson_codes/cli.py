@@ -43,6 +43,13 @@ def _spec_args(p: argparse.ArgumentParser) -> None:
                    help="constant added to the polynomial (e.g. -1)")
 
 
+def _weight_limit(text: str) -> int:
+    """--wmax: an int >= 1, checked while parsing so bad values exit 2."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1: {text!r}")
+    return int(text)
+
+
 def _resolve_field(args):
     registry = load_registry(args.registry)
     if not registry.has(args.q, args.m):
@@ -208,13 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", choices=["exact", "bch", "none"],
                    default="exact")
     p.add_argument("--format", choices=["text", "json", "csv"], default="json")
-    p.add_argument("--wmax", type=int, default=13)
+    p.add_argument("--wmax", type=_weight_limit, default=13)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("table", help="reproduce a printed code table")
     p.add_argument("--id", choices=list(TABLE_IDS), required=True)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--wmax", type=int, default=None)
+    p.add_argument("--wmax", type=_weight_limit, default=None)
     p.add_argument("--registry", help="registry file path")
     p.set_defaults(fn=cmd_table)
 

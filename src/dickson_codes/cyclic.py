@@ -21,7 +21,10 @@ Distance strategy, in order:
   with every A position below every B position are kept, so each is a
   distinct weight-w codeword; the witness is the lexicographically
   smallest of their shifts and multiples, checked once, which is the
-  witness enumeration would return.
+  witness enumeration would return.  Keys are syndromes packed one GF(p)
+  digit to a lane of 1 (p = 2) or ceil(log2(2p - 1)) bits, in as many
+  64-bit words as they need; one lane-wise kernel sums them for every q.
+  Sides are joined on word 0, and candidate pairs confirmed on the rest.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -54,6 +57,9 @@ from .galois import Field, SubfieldTables, ZERO
 from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal_poly_gcd
 from .polyring import Poly, coset_leaders, cyclotomic_coset
 
+ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
+ISD_STALL = 16  # quick witness pass: iterations allowed without improvement
+
 
 @dataclass
 class DistanceConfig:
@@ -62,9 +68,7 @@ class DistanceConfig:
     full_enum_limit: int = 1 << 22
     w_max: int = 13
     isd_iterations: int = 240
-    isd_stall: int = 16
     mitm_side_limit: int = 32_000_000
-    seed: int = 20240915
 
     def __post_init__(self):
         if self.w_max < 1:
@@ -323,16 +327,6 @@ def _mitm_sides(n: int, q: int, w: int) -> tuple[int, int]:
             math.comb(n - 1, w2) * (q - 1) ** w2)
 
 
-def _check_mitm_feasible(code: CyclicCode, w: int, cfg: DistanceConfig):
-    F = code.field
-    digits_total = (code.n - code.k) * F.t
-    if digits_total * np.log2(F.p) > 62:
-        raise _MitmInfeasible("syndrome key exceeds 64-bit packing")
-    side = max(_mitm_sides(code.n, code.q, w))
-    if side > cfg.mitm_side_limit:
-        raise _MitmInfeasible(f"side size {side} over limit")
-
-
 def _coeff_grid(q: int, slots: int, pin_first: bool) -> np.ndarray:
     """All coefficient tuples over GF(q)* for the support slots."""
     ranges = [[1] if s == 0 and pin_first else range(1, q)
@@ -362,56 +356,52 @@ def _colex_array(n: int, w: int) -> np.ndarray:
     return level
 
 
-def _side_keys(H: np.ndarray, st: SubfieldTables, pos: np.ndarray,
-               coeffs: np.ndarray, negate: bool):
-    """Packed syndrome keys, one per (support, coefficient) combination,
-    C-ordered with the coefficient index minor."""
-    p, t = st.p, st.t
-    C, w = pos.shape
-    K = len(coeffs)
-    R = H.shape[0]
-    acc = np.zeros((C, K, R, t), dtype=np.int16)
-    cols = H[:, pos]  # (R, C, w)
-    for s in range(w):
-        col_s = cols[:, :, s]  # (R, C)
-        prod = st.mul[coeffs[:, s][:, None, None], col_s[None, :, :]]  # (K, R, C)
-        acc += st.digits[prod].transpose(2, 0, 1, 3)
-    acc %= p
-    if negate:
-        acc = (p - acc) % p
-    weights = p ** np.arange(R * t, dtype=np.int64)
-    keys = acc.reshape(C, K, R * t).astype(np.int64) @ weights
+def _lane_bits(p: int) -> int:  # p = 2 adds by XOR; else a lane holds 2p - 2
+    return 1 if p == 2 else (2 * p - 2).bit_length()
+
+
+def _key_table(H: np.ndarray, st: SubfieldTables) -> np.ndarray:
+    """(n, q, W) uint64 table of the syndromes of c * H[:, j]: their R * t
+    GF(p) digits, row-major, fill lanes of b = ``_lane_bits(p)`` bits,
+    64 // b lanes to a word, so no lane straddles two words."""
+    R, n = H.shape
+    b = _lane_bits(st.p)
+    lanes, digits = 64 // b, R * st.t
+    W = -(-digits // lanes)
+    dig = st.digits[st.mul[:, H]]  # (q, R, n, t)
+    flat = np.zeros((n, st.q, W * lanes), dtype=np.uint64)
+    flat[:, :, :digits] = dig.transpose(2, 0, 1, 3).reshape(n, st.q, digits)
+    shifts = np.arange(lanes, dtype=np.uint64) * np.uint64(b)
+    return (flat.reshape(n, st.q, W, lanes) << shifts).sum(
+        axis=-1, dtype=np.uint64)
+
+
+def _side_keys(table: np.ndarray, pos: np.ndarray, coeffs: np.ndarray,
+               p: int) -> np.ndarray:
+    """Keys of sum_s coeffs[..., s] * H[:, pos[..., s]] over w >= 1 slots,
+    as lane-wise sums of ``_key_table`` entries (any word axis kept);
+    ``pos`` and ``coeffs`` broadcast.  For p = 2 the sum is XOR.  Otherwise
+    an add leaves lanes in 0..2p-2; biasing each by 2^(b-1) - p sets its
+    top bit where it reached p, and p is subtracted there (SWAR)."""
+    keys = table[pos[..., 0], coeffs[..., 0]]
+    b = _lane_bits(p)
+    ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # 1 in every lane
+    for s in range(1, pos.shape[-1]):
+        entry = table[pos[..., s], coeffs[..., s]]
+        if p == 2:
+            keys ^= entry
+        else:
+            keys += entry
+            over = keys + np.uint64(((1 << (b - 1)) - p) * ones)
+            over &= np.uint64((1 << (b - 1)) * ones)
+            over >>= np.uint64(b - 1)
+            over *= np.uint64(p)
+            keys -= over
     return keys
 
 
-def _xor_key_table(H: np.ndarray, st: SubfieldTables) -> np.ndarray:
-    """(n, q) uint64 table of bit-packed syndromes of c * H[:, j].
-
-    Characteristic 2 only: adding syndromes is then XOR of packed keys.
-    """
-    R, n = H.shape
-    q, t = st.q, st.t
-    bits = np.uint64(1) << np.arange(R * t, dtype=np.uint64)
-    table = np.zeros((n, q), dtype=np.uint64)
-    for c in range(q):
-        dig = st.digits[st.mul[c, H]]  # (R, n, t)
-        flat = dig.transpose(1, 0, 2).reshape(n, R * t).astype(np.uint64)
-        table[:, c] = (flat * bits[None, :]).sum(axis=1, dtype=np.uint64)
-    return table
-
-
-def _side_keys_xor(table: np.ndarray, pos: np.ndarray,
-                   coeffs: np.ndarray) -> np.ndarray:
-    C, w = pos.shape
-    K = len(coeffs)
-    acc = np.zeros((C, K), dtype=np.uint64)
-    for s in range(w):
-        acc ^= table[pos[:, s][:, None], coeffs[None, :, s]]
-    return acc
-
-
 def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
-    mixed = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    mixed = keys * np.uint64(0x9E3779B97F4A7C15)
     return (mixed >> np.uint64(64 - bits)).astype(np.int64)
 
 
@@ -423,10 +413,11 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
     """
-    _check_mitm_feasible(code, w, cfg)
-    F = code.field
-    st = F.subfield_tables()
-    q, n = code.q, code.n
+    side = max(_mitm_sides(code.n, code.q, w))
+    if side > cfg.mitm_side_limit:
+        raise _MitmInfeasible(f"side size {side} over limit")
+    st = code.field.subfield_tables()
+    q, n, p = code.q, code.n, st.p
     w1, w2 = (w + 1) // 2, w // 2
 
     rest = _colex_array(n - 1, w1 - 1) + 1
@@ -435,23 +426,20 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     coeff_a = _coeff_grid(q, w1, pin_first=True)
     coeff_b = _coeff_grid(q, w2, pin_first=False)
     Ka, Kb = len(coeff_a), len(coeff_b)
-    xor_table = _xor_key_table(H, st) if F.p == 2 else None
+    table = _key_table(H, st)
 
-    def key_chunks(pos, coeffs, negate):
-        """(first support, flat keys) per chunk of supports, C-ordered with
-        the coefficient index minor."""
-        per = len(coeffs) * (1 if xor_table is not None else H.shape[0] * F.t)
-        step = max(1, (1 << 23) // per)
+    def key_chunks(pos, coeffs):
+        """(first support, word-0 keys) per chunk of supports, C-ordered
+        with the coefficient index minor."""
+        step = max(1, (1 << 20) // len(coeffs))
         for lo in range(0, len(pos), step):
-            part = pos[lo : lo + step]
-            if xor_table is not None:
-                keys = _side_keys_xor(xor_table, part, coeffs)
-            else:
-                keys = _side_keys(H, st, part, coeffs, negate)
+            keys = _side_keys(table[:, :, 0], pos[lo : lo + step, None],
+                              coeffs[None], p)
             yield lo, keys.reshape(-1)
 
-    # A is never the larger side: materialize it, sorted by key
-    keys_a = np.concatenate([k for _, k in key_chunks(pos_a, coeff_a, True)])
+    # A is never the larger side: materialize it, sorted by key; its keys
+    # are negated syndromes, so a match means the two sides sum to zero
+    keys_a = np.concatenate([k for _, k in key_chunks(pos_a, st.neg[coeff_a])])
     order = np.argsort(keys_a)
     keys_sorted = keys_a[order]
 
@@ -462,22 +450,26 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     bloom[_bloom_addr(keys_sorted, bloom_bits)] = True
 
     found = []
-    for lo, keys_b in key_chunks(pos_b, coeff_b, False):
+    for lo, keys_b in key_chunks(pos_b, coeff_b):
         maybe = np.flatnonzero(bloom[_bloom_addr(keys_b, bloom_bits)])
         left = np.searchsorted(keys_sorted, keys_b[maybe], side="left")
         counts = np.searchsorted(keys_sorted, keys_b[maybe], side="right") - left
-        # one entry per matching (A, B) pair
+        # one entry per (A, B) pair matching on word 0
         bi = np.repeat(maybe, counts) + lo * Kb
         ai = order[np.repeat(left - np.cumsum(counts) + counts, counts)
                    + np.arange(counts.sum())]
         sa, sb = pos_a[ai // Ka], pos_b[bi // Kb]
+        ca, cb = coeff_a[ai % Ka], coeff_b[bi % Kb]
         keep = sa[:, -1] < sb[:, 0]
+        if table.shape[2] > 1:  # confirm the pairs on every word
+            keep &= (_side_keys(table, sa, st.neg[ca], p)
+                     == _side_keys(table, sb, cb, p)).all(axis=1)
         if not keep.any():
             continue
         words = np.zeros((int(keep.sum()), n), dtype=np.uint8)
         rows = np.arange(len(words))[:, None]
-        words[rows, sa[keep]] = coeff_a[ai[keep] % Ka]
-        words[rows, sb[keep]] = coeff_b[bi[keep] % Kb]
+        words[rows, sa[keep]] = ca[keep]
+        words[rows, sb[keep]] = cb[keep]
         found.append(words)
     if not found:
         return None
@@ -594,7 +586,7 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
                  ) -> tuple[int, tuple[int, ...]] | None:
     """Best-effort low-weight codeword via random information sets.
 
-    Deterministic for a fixed config: the RNG is seeded from cfg.seed and
+    Deterministic for a fixed config: the RNG is seeded from ISD_SEED and
     the generator polynomial.  Stops early once the best weight reaches
     ``stop_at`` or after ``stall`` iterations without improvement.
     Returns (weight, codeword) or None.
@@ -607,7 +599,7 @@ def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
     # reduce whichever of G and H has fewer rows; both give the same R
     via_parity = n - k < k
     M = code.parity_check_matrix() if via_parity else code.generator_matrix()
-    seed = (cfg.seed, zlib.crc32(code.g.text().encode()), n, q)
+    seed = (ISD_SEED, zlib.crc32(code.g.text().encode()), n, q)
     rng = np.random.default_rng(abs(hash(seed)) % (1 << 63))
     best_w: int | None = None
     best_c: tuple[int, ...] | None = None
@@ -723,7 +715,7 @@ def minimum_distance(code: CyclicCode,
                               witness=wit, certified_lower=d)
 
     H = code.parity_check_matrix()
-    isd = _isd_witness(code, cfg, stop_at=lb, stall=cfg.isd_stall)
+    isd = _isd_witness(code, cfg, stop_at=lb, stall=ISD_STALL)
     upper = isd[0] if isd else None
 
     certified, hit, mitm_used, hit_wall = _mitm_sweep(code, H, lb, upper, cfg)

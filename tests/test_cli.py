@@ -1,5 +1,6 @@
 """Command-line interface behavior and output formats."""
 
+import dataclasses
 import json
 import shutil
 
@@ -7,6 +8,8 @@ import pytest
 
 from dickson_codes import cli, cyclic
 from dickson_codes.cli import main
+from dickson_codes.registry import UnknownEntryError
+from dickson_codes.verify import table_distance_config
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,40 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["code", "--q", "2"])  # missing required arguments
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "--q", "2", "--m", "4", "--kind", "D", "--order", "3",
+     "--a", "1"],
+    ["table", "--id", "E"],
+])
+@pytest.mark.parametrize("wmax", ["0", "-3", "two"])
+def test_wmax_below_one_is_rejected_while_parsing(capsys, monkeypatch,
+                                                  argv, wmax):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran with an invalid --wmax")
+
+    monkeypatch.setattr(cli, "minimum_distance", no_run)
+    monkeypatch.setattr(cli, "run_table", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--wmax", wmax])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--wmax" in err and f"expected an int >= 1: '{wmax}'" in err
+
+
+def test_table_wmax_reaches_the_distance_config(monkeypatch):
+    seen = []
+
+    def record(table_id, registry, cfg):
+        seen.append(cfg)
+        raise UnknownEntryError("stop here")
+
+    monkeypatch.setattr(cli, "run_table", record)
+    assert main(["table", "--id", "E", "--wmax", "2"]) == 2
+    (cfg,) = seen
+    assert cfg.w_max == 2 and cfg == dataclasses.replace(
+        table_distance_config("E"), w_max=2)
 
 
 def test_registry_env_override(capsys, tmp_path, monkeypatch):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dickson_codes.cyclic import (CyclicCode, DistanceConfig, _colex_array,
-                                  _exhaustive_distance, _isd_witness,
-                                  _mitm_sides, _MitmInfeasible,
+from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
+                                  _colex_array, _exhaustive_distance,
+                                  _isd_witness, _key_table, _lane_bits,
+                                  _mitm_sides, _MitmInfeasible, _side_keys,
                                   _pair_weights, _rref_codes, _rref_via_parity,
                                   bch_lower_bound, code_from_sequence,
                                   codeword_blocks,
@@ -391,6 +392,74 @@ def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
     assert mitm.certified_lower <= exh[0]
     if mitm.exact:
         assert (mitm.value, mitm.witness) == exh
+    if all(max(_mitm_sides(code.n, code.q, w)) <= cfg.mitm_side_limit
+           for w in range(mitm.bch_bound, exh[0] + 1)):
+        assert mitm.exact
+
+
+def _reference_keys(H, st, pos, coeffs, negate):
+    """Packed keys of sum_s coeffs[s] * H[:, pos[s]], one support at a
+    time: GF(p) digits summed mod p, then packed into lanes of
+    ceil(log2(2p - 1)) bits (one for p = 2), 64 // b of them to a word."""
+    b = 1 if st.p == 2 else math.ceil(math.log2(2 * st.p - 1))
+    assert b == _lane_bits(st.p)
+    lanes = 64 // b
+    digits = np.zeros((H.shape[0], st.t), dtype=np.int64)
+    for j, c in zip(pos, coeffs):
+        digits += st.digits[st.mul[c, H[:, j]]]
+    digits %= st.p
+    if negate:
+        digits = (st.p - digits) % st.p
+    flat = digits.reshape(-1).tolist()
+    words = [0] * -(-len(flat) // lanes)
+    for i, digit in enumerate(flat):
+        words[i // lanes] |= digit << (b * (i % lanes))
+    return words
+
+
+@pytest.mark.parametrize("words", (1, 2, 3))
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), seed=hst.integers(0, 2**32 - 1))
+def test_side_keys_match_digitwise_reference(q, words, data, seed):
+    m = min(m for p, m in REG.pairs() if p == q)
+    st = REG.field(q, m).subfield_tables()
+    lanes = 64 // _lane_bits(st.p)
+    # R * t digits that need exactly `words` words
+    R = data.draw(hst.integers((words - 1) * lanes // st.t + 1,
+                               words * lanes // st.t))
+    n = data.draw(hst.integers(1, 12))
+    w = data.draw(hst.integers(1, min(n, 4)))
+    rng = np.random.default_rng(seed)
+    H = rng.integers(0, q, (R, n)).astype(np.uint8)
+    pos = np.array([np.sort(rng.choice(n, w, replace=False))
+                    for _ in range(3)], dtype=np.int16)
+    coeffs = rng.integers(1, q, (4, w)).astype(np.uint8)
+    table = _key_table(H, st)
+    assert table.shape == (n, q, words) and table.dtype == np.uint64
+    for negate in (False, True):  # side B, side A
+        cf = st.neg[coeffs] if negate else coeffs
+        grid = _side_keys(table, pos[:, None], cf[None], st.p)
+        assert grid.shape == (3, 4, words)
+        for i, j in itertools.product(range(3), range(4)):
+            ref = _reference_keys(H, st, pos[i], coeffs[j], negate)
+            assert grid[i, j].tolist() == ref
+        # one support per coefficient row, as the match confirmation uses
+        pairs = _side_keys(table, pos[[0, 1, 2, 0]], cf, st.p)
+        assert np.array_equal(pairs, grid[[0, 1, 2, 0], [0, 1, 2, 3]])
+
+
+def test_wide_syndrome_keeps_mitm_exact():
+    # 11 check rows of 2 GF(3) digits: 22 digits, two words of 21 lanes
+    code = build(9, 2, "D", 7, "0")
+    assert (code.n, code.k) == (80, 69)
+    assert _key_table(code.parity_check_matrix(),
+                      code.field.subfield_tables()).shape[2] == 2
+    d = minimum_distance(code)
+    assert (d.value, d.exact, d.method, d.certified_lower) == (
+        6, True, "mitm+witness", 6)
+    vec = np.array(d.witness, dtype=np.int16)
+    assert np.count_nonzero(vec) == 6 and code.contains(vec)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -448,8 +517,8 @@ def test_bch_bound_le_distance_le_witness_weight(code):
     exh = _exhaustive_distance(code)
     d = minimum_distance(code)
     assert (d.value, d.witness) == exh and d.bch_bound == lb
-    cfg = DistanceConfig()
-    weight, witness = _isd_witness(code, cfg, stop_at=lb, stall=cfg.isd_stall)
+    weight, witness = _isd_witness(code, DistanceConfig(), stop_at=lb,
+                                   stall=ISD_STALL)
     assert lb <= exh[0] <= weight
     vec = np.array(witness, dtype=np.int16)
     assert np.count_nonzero(vec) == weight and code.contains(vec)
