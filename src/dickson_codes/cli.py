@@ -36,18 +36,23 @@ def _field_args(p: argparse.ArgumentParser) -> None:
 def _spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=["D", "E"], required=True,
                    help="Dickson kind: first (D) or second (E)")
-    p.add_argument("--order", type=int, required=True, help="order h >= 0")
+    p.add_argument("--order", type=_int_at_least(0), required=True,
+                   help="order h >= 0")
     p.add_argument("--a", default="0",
                    help="parameter a: 0, a^k, alpha^k, integer, or c/d")
     p.add_argument("--offset", default=None,
                    help="constant added to the polynomial (e.g. -1)")
 
 
-def _weight_limit(text: str) -> int:
-    """--wmax: an int >= 1, checked while parsing so bad values exit 2."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an int >= 1: {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """Argument type for an int >= low, checked while parsing so bad values
+    exit 2 (--order: low 0, --wmax: low 1)."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an int >= {low}: {text!r}")
+        return int(text)
+    return parse
 
 
 def _resolve_field(args):
@@ -215,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", choices=["exact", "bch", "none"],
                    default="exact")
     p.add_argument("--format", choices=["text", "json", "csv"], default="json")
-    p.add_argument("--wmax", type=_weight_limit, default=13)
+    p.add_argument("--wmax", type=_int_at_least(1), default=13)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("table", help="reproduce a printed code table")
     p.add_argument("--id", choices=list(TABLE_IDS), required=True)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--wmax", type=_weight_limit, default=None)
+    p.add_argument("--wmax", type=_int_at_least(1), default=None)
     p.add_argument("--registry", help="registry file path")
     p.set_defaults(fn=cmd_table)
 
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "every a in the field")
     _field_args(p)
     p.add_argument("--kind", choices=["D"], default="D")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
     p.set_defaults(fn=cmd_sweep)
     return ap
 

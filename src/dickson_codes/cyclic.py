@@ -3,10 +3,16 @@ minimum distance, weight distribution, and even-like subcodes.
 
 Distance strategy, in order:
 
-* **exhaustive** - if q^k fits under the enumeration cap, every codeword
-  is generated once, in one pass: a table spanning the first generator
-  rows is translated by a q-ary Gray-code walk over the others, so the
-  minimum weight and its witness are exact.  A high-rate code (n - k < k)
+* **exhaustive** - if q^k fits under the enumeration cap, the codewords
+  are enumerated in one pass: a table spanning some generator rows is
+  translated by a q-ary Gray-code walk over the others.  Only q^(k-2) of
+  them are needed (k >= 2).  A codeword c = m(x) g(x) of weight w < n has
+  a cyclic shift, times a scalar, with c_0 = 1 and c_{n-1} = 0, that is
+  m_0 = 1 / g_0 and m_{k-1} = 0, so the walk starts from G[0] / g_0 and
+  spans rows 1..k-2 (for k = 1 it is the single word g / g_0, of weight
+  n).  The minimum weight is exact, and the witness is the
+  lexicographically smallest shift and multiple of the minimum-weight
+  words found, as for MITM below.  A high-rate code (n - k < k)
   under the cap first tries the MITM sweep below, taking a level only
   while the levels' summed side sizes stay below q^k; enumeration runs
   when that budget runs out or a level is infeasible.  Low-rate codes
@@ -30,7 +36,11 @@ Distance strategy, in order:
   certified lower bound the distance is exact even where a full MITM
   level would be infeasible (method ``bch+witness`` / ``mitm+witness``).
   Each iteration brings a random permutation's greedy information set to
-  systematic form.  When n - k < k this reduces the parity-check matrix's
+  systematic form.  One search object per code keeps its RNG and best
+  word: a quick pass ends at its first information set that brings no
+  improvement, the MITM sweep then certifies, and only a blocked sweep
+  resumes the same search, within the full iteration budget, so no set
+  is reduced twice.  When n - k < k this reduces the parity-check matrix's
   n - k rows, scanning from the right, instead of the generator's k rows:
   by matroid duality its check columns are the complement of the
   generator's information set, so the systematic generator is the same.
@@ -58,7 +68,7 @@ from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal
 from .polyring import Poly, coset_leaders, cyclotomic_coset
 
 ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
-ISD_STALL = 16  # quick witness pass: iterations allowed without improvement
+ISD_STALL = 1  # quick witness pass: iterations allowed without improvement
 
 
 @dataclass
@@ -237,26 +247,41 @@ _SPAN_ROWS = 1 << 16  # rows of the spanned table, and of every block
 
 def codeword_blocks(code: CyclicCode):
     """Yield every codeword exactly once, as uint8 blocks of subfield
-    codes with shape (block, n).
+    codes with shape (block, n)."""
+    return _span_blocks(code.generator_matrix(), np.zeros(code.n, np.uint8),
+                        code.field.subfield_tables())
 
-    The GF(q)-span of the first ``a`` generator rows (q^a <= 2^16) is built
-    once as a table.  The span of the other k - a rows is walked in q-ary
-    Gray-code order, one scaled row added per step, and each block is the
-    table translated by the current outer codeword.  The working set is
-    that table plus one block, whatever q^k is.
-    """
+
+def _pinned_blocks(code: CyclicCode):
+    """Yield the codewords m(x) g(x) with m_0 = 1 / g_0 and, for k >= 2,
+    m_{k-1} = 0: q^(k-2) words with c_0 = 1 and c_{n-1} = 0, holding a
+    shift and multiple of every codeword of weight below n (module
+    docstring).  For k = 1 the one word g / g_0."""
     st = code.field.subfield_tables()
-    q, n, k = code.q, code.n, code.k
     G = code.generator_matrix()
+    return _span_blocks(G[1 : code.k - 1], st.mul[st.inv[G[0, 0]], G[0]], st)
+
+
+def _span_blocks(rows: np.ndarray, base: np.ndarray, st: SubfieldTables):
+    """Yield base + every GF(q) combination of ``rows`` exactly once, as
+    uint8 blocks of subfield codes with shape (block, n).
+
+    The span of the first ``a`` rows (q^a <= 2^16) is built once as a
+    table.  The span of the others is walked in q-ary Gray-code order from
+    ``base``, one scaled row added per step, and each block is the table
+    translated by the current outer word.  The working set is that table
+    plus one block, however many rows there are.
+    """
+    q, n, k = st.q, len(base), len(rows)
     a = 0
     while a < k and q ** (a + 1) <= _SPAN_ROWS:
         a += 1
     # column-major: column j of every block is one table lookup per entry
     low = np.zeros((n, 1), dtype=np.uint8)
-    for row in G[:a]:
+    for row in rows[:a]:
         scaled = st.mul[row]  # (n, q): scaled[j, c] = row[j] * c
         low = st.add[low[:, None, :], scaled[:, :, None]].reshape(n, -1)
-    outer = np.zeros(n, dtype=np.uint8)
+    outer = base
     digits = [0] * (k - a)
     for step in range(q ** (k - a)):
         if step:
@@ -267,7 +292,7 @@ def codeword_blocks(code: CyclicCode):
                 j, rest = j + 1, rest // q
             nxt = (digits[j] + 1) % q
             delta = st.add[nxt, st.neg[digits[j]]]
-            outer = st.add[outer, st.mul[delta, G[a + j]]]
+            outer = st.add[outer, st.mul[delta, rows[a + j]]]
             digits[j] = nxt
         shift = st.add[outer]  # (n, q): shift[j, x] = outer[j] + x
         block = np.empty_like(low)
@@ -278,17 +303,15 @@ def codeword_blocks(code: CyclicCode):
 
 def _exhaustive_distance(code: CyclicCode) -> tuple[int, tuple[int, ...]]:
     """Minimum weight and the lexicographically smallest codeword of that
-    weight, in one pass over all codewords."""
+    weight, in one pass over the pinned codewords (``_pinned_blocks``)."""
+    st = code.field.subfield_tables()
     best_w, witness = code.n + 1, None
-    for block in codeword_blocks(code):
-        weights = np.count_nonzero(block, axis=1)
-        weights[weights == 0] = code.n + 1  # the zero codeword
+    for block in _pinned_blocks(code):
+        weights = np.count_nonzero(block, axis=1)  # c_0 = 1: never zero
         w = int(weights.min())
         if w > best_w:
             continue
-        hits = block[weights == w]
-        first = np.lexsort(hits.T[::-1])[0]  # column 0 is the primary key
-        cand = tuple(int(x) for x in hits[first])
+        cand = _smallest_shift(block[weights == w], st)
         if w < best_w or cand < witness:
             best_w, witness = w, cand
     if witness is None or not code.contains(np.array(witness, dtype=np.int16)):
@@ -405,11 +428,12 @@ def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
     return (mixed >> np.uint64(64 - bits)).astype(np.int64)
 
 
-def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
+def _mitm_level(code: CyclicCode, table: np.ndarray, w: int,
                 cfg: DistanceConfig) -> tuple[int, ...] | None:
     """Full MITM sweep at weight w over the pinned split (module
-    docstring); returns the lexicographically smallest codeword of weight
-    w, or None if none exists.  A key match puts the sum of the two sides
+    docstring), with keys from ``table = _key_table(H, st)``; returns the
+    lexicographically smallest codeword of weight w, or None if none
+    exists.  A key match puts the sum of the two sides
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
     """
@@ -426,7 +450,6 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     coeff_a = _coeff_grid(q, w1, pin_first=True)
     coeff_b = _coeff_grid(q, w2, pin_first=False)
     Ka, Kb = len(coeff_a), len(coeff_b)
-    table = _key_table(H, st)
 
     def key_chunks(pos, coeffs):
         """(first support, word-0 keys) per chunk of supports, C-ordered
@@ -452,8 +475,13 @@ def _mitm_level(code: CyclicCode, H: np.ndarray, w: int,
     found = []
     for lo, keys_b in key_chunks(pos_b, coeff_b):
         maybe = np.flatnonzero(bloom[_bloom_addr(keys_b, bloom_bits)])
-        left = np.searchsorted(keys_sorted, keys_b[maybe], side="left")
-        counts = np.searchsorted(keys_sorted, keys_b[maybe], side="right") - left
+        probe = keys_b[maybe]
+        left = np.searchsorted(keys_sorted, probe, side="left")
+        # most bloom survivors are false positives: drop them before the
+        # second search
+        real = keys_sorted[np.minimum(left, len(keys_sorted) - 1)] == probe
+        maybe, left = maybe[real], left[real]
+        counts = np.searchsorted(keys_sorted, probe[real], side="right") - left
         # one entry per (A, B) pair matching on word 0
         bi = np.repeat(maybe, counts) + lo * Kb
         ai = order[np.repeat(left - np.cumsum(counts) + counts, counts)
@@ -492,13 +520,15 @@ def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
     a certified lower bound.  ``swept``: some level completed.
     ``blocked``: the sweep stopped at an infeasible or over-budget level.
     """
-    keys, swept = 0, False
+    keys, swept, table = 0, False, None
     while w <= cfg.w_max and (stop is None or w < stop):
         keys += sum(_mitm_sides(code.n, code.q, w))
         if budget is not None and keys >= budget:
             return w, None, swept, True
+        if table is None:  # the same H at every level
+            table = _key_table(H, code.field.subfield_tables())
         try:
-            hit = _mitm_level(code, H, w, cfg)
+            hit = _mitm_level(code, table, w, cfg)
         except _MitmInfeasible:
             return w, None, swept, True
         swept = True
@@ -511,7 +541,18 @@ def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
 def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
     """Lexicographically smallest word among all cyclic shifts and nonzero
     scalar multiples of the given nonzero words."""
-    m, n = words.shape
+    n = words.shape[1]
+    # the smallest shift leads with a longest cyclic run of zeros among all
+    # the words, so only words with such a run need their n shifts
+    col = np.arange(2 * n, dtype=np.int32)
+    runs = np.empty(len(words), dtype=np.int32)
+    step = max(1, (1 << 20) // n)
+    for lo in range(0, len(words), step):
+        twice = np.tile(words[lo : lo + step], 2)
+        last = np.maximum.accumulate(np.where(twice == 0, -1, col), axis=1)
+        runs[lo : lo + step] = (col - last).max(axis=1)
+    words = words[runs == runs.max()]
+    m = len(words)
     # shift s moves coordinate j - s to j: x^s times the word
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     best = None
@@ -581,66 +622,82 @@ def _rref_via_parity(H: np.ndarray, perm: np.ndarray, st: SubfieldTables):
     return R, pivots.tolist()
 
 
-def _isd_witness(code: CyclicCode, cfg: DistanceConfig, stop_at: int,
-                 stall: int | None = None
-                 ) -> tuple[int, tuple[int, ...]] | None:
-    """Best-effort low-weight codeword via random information sets.
+class _WitnessSearch:
+    """Best-effort low-weight codewords via random information sets, as a
+    search that can be resumed.
 
     Deterministic for a fixed config: the RNG is seeded from ISD_SEED and
-    the generator polynomial.  Stops early once the best weight reaches
-    ``stop_at`` or after ``stall`` iterations without improvement.
-    Returns (weight, codeword) or None.
+    the generator polynomial.  The RNG, the best word and the number of
+    information sets used persist across ``run`` calls, so a run that
+    resumes a stopped one draws exactly the sets a fresh search would draw
+    next, and no set is reduced twice.
     """
-    F = code.field
-    st = F.subfield_tables()
-    n, k, q = code.n, code.k, code.q
-    if k == 0:
-        return None
-    # reduce whichever of G and H has fewer rows; both give the same R
-    via_parity = n - k < k
-    M = code.parity_check_matrix() if via_parity else code.generator_matrix()
-    seed = (ISD_SEED, zlib.crc32(code.g.text().encode()), n, q)
-    rng = np.random.default_rng(abs(hash(seed)) % (1 << 63))
-    best_w: int | None = None
-    best_c: tuple[int, ...] | None = None
-    since_improved = 0
-    nonzero_scalars = np.arange(1, q, dtype=np.uint8)
-    for _ in range(cfg.isd_iterations):
-        if stall is not None and since_improved >= stall:
-            break
-        prev_best = best_w
-        perm = rng.permutation(n)
-        R, pivots = (_rref_via_parity(M, perm, st) if via_parity
-                     else _rref_codes(M[:, perm], st))
+
+    def __init__(self, code: CyclicCode, cfg: DistanceConfig):
+        self.code, self.cfg = code, cfg
+        n, k, q = code.n, code.k, code.q
+        # reduce whichever of G and H has fewer rows; both give the same R
+        self.via_parity = n - k < k
+        self.M = (code.parity_check_matrix() if self.via_parity
+                  else code.generator_matrix())
+        seed = (ISD_SEED, zlib.crc32(code.g.text().encode()), n, q)
+        self.rng = np.random.default_rng(abs(hash(seed)) % (1 << 63))
+        self.best_w: int | None = None
+        self.best_c: tuple[int, ...] | None = None
+        self.sets = 0  # information sets reduced so far, over all runs
+
+    def run(self, stop_at: int, stall: int | None = None
+            ) -> tuple[int, tuple[int, ...]] | None:
+        """Draw information sets until the best weight is at most
+        ``stop_at``, ``stall`` sets of this run bring no improvement, or
+        ``cfg.isd_iterations`` sets have been used in all.  Returns the
+        best (weight, codeword) so far, or None."""
+        code, st = self.code, self.code.field.subfield_tables()
+        since_improved = 0
+        while (self.sets < self.cfg.isd_iterations
+               and (self.best_w is None or self.best_w > stop_at)
+               and (stall is None or since_improved < stall)):
+            prev_best = self.best_w
+            self._draw(st)
+            self.sets += 1
+            since_improved = (0 if self.best_w != prev_best
+                              else since_improved + 1)
+        if self.best_w is None:
+            return None
+        vec = np.array(self.best_c, dtype=np.int16)
+        if not code.contains(vec) or int(np.count_nonzero(vec)) != self.best_w:
+            raise AssertionError("witness search produced a non-codeword")
+        return self.best_w, _normalize_witness(self.best_c, st)
+
+    def _draw(self, st: SubfieldTables) -> None:
+        """Reduce one random information set; score its single rows and
+        every row pair with a free scalar on the second row."""
+        n, k = self.code.n, self.code.k
+        perm = self.rng.permutation(n)
+        R, pivots = (_rref_via_parity(self.M, perm, st) if self.via_parity
+                     else _rref_codes(self.M[:, perm], st))
         if R.shape[0] != k:
             # G has rank k and H rank n - k for every cyclic code
             raise AssertionError("information set of the wrong size")
-        # single rows
+        best_w = n + 1 if self.best_w is None else self.best_w
+        best_c = self.best_c
         weights = np.count_nonzero(R, axis=1)
         i = int(np.argmin(weights))
-        if best_w is None or weights[i] < best_w:
+        if weights[i] < best_w:
             best_w, best_c = int(weights[i]), _unpermute(R[i], perm, n)
-        # row pairs with a free scalar on the second row
         nonpiv = np.ones(n, dtype=bool)
         nonpiv[pivots] = False
-        for c, pw in zip(nonzero_scalars, _pair_weights(R[:, nonpiv], st)):
+        scalars = np.arange(1, st.q, dtype=np.uint8)
+        for c, pw in zip(scalars, _pair_weights(R[:, nonpiv], st)):
             np.fill_diagonal(pw, n + 10)
             j = int(np.argmin(pw))
             i0, j0 = divmod(j, k)
-            if i0 != j0 and (best_w is None or pw[i0, j0] < best_w):
+            if i0 != j0 and pw[i0, j0] < best_w:
                 full = st.add[R[i0], st.mul[c, R[j0]]]
                 wfull = int(np.count_nonzero(full))
-                if best_w is None or wfull < best_w:
+                if wfull < best_w:
                     best_w, best_c = wfull, _unpermute(full, perm, n)
-        if best_w is not None and best_w <= stop_at:
-            break
-        since_improved = 0 if best_w != prev_best else since_improved + 1
-    if best_w is None or best_c is None:
-        return None
-    vec = np.array(best_c, dtype=np.int16)
-    if not code.contains(vec) or int(np.count_nonzero(vec)) != best_w:
-        raise AssertionError("witness search produced a non-codeword")
-    return best_w, _normalize_witness(best_c, st)
+        self.best_w, self.best_c = best_w, best_c
 
 
 def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
@@ -714,21 +771,21 @@ def minimum_distance(code: CyclicCode,
         return DistanceResult(d, True, "exhaustive", bch_bound=lb,
                               witness=wit, certified_lower=d)
 
-    H = code.parity_check_matrix()
-    isd = _isd_witness(code, cfg, stop_at=lb, stall=ISD_STALL)
+    search = _WitnessSearch(code, cfg)
+    isd = search.run(lb, stall=ISD_STALL)
     upper = isd[0] if isd else None
 
-    certified, hit, mitm_used, hit_wall = _mitm_sweep(code, H, lb, upper, cfg)
+    certified, hit, mitm_used, hit_wall = _mitm_sweep(
+        code, code.parity_check_matrix(), lb, upper, cfg)
     if hit is not None:
         return DistanceResult(certified, True, "mitm", bch_bound=lb,
                               witness=hit, certified_lower=certified)
 
     if hit_wall and (upper is None or upper > certified):
         # the quick witness pass stalled above the certified floor and the
-        # sweep cannot continue; spend the full witness budget
-        rescue = _isd_witness(code, cfg, stop_at=certified, stall=None)
-        if rescue is not None and (upper is None or rescue[0] < upper):
-            isd, upper = rescue, rescue[0]
+        # sweep cannot continue; resume it with the full witness budget
+        isd = search.run(certified)
+        upper = isd[0] if isd else None
 
     if upper is not None and upper == certified:
         method = "mitm+witness" if mitm_used else "bch+witness"

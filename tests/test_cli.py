@@ -150,6 +150,27 @@ def test_wmax_below_one_is_rejected_while_parsing(capsys, monkeypatch,
     assert "--wmax" in err and f"expected an int >= 1: '{wmax}'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["code", "--q", "2", "--m", "4", "--kind", "D", "--a", "1"],
+    ["dickson", "--q", "2", "--m", "4", "--kind", "D"],
+    ["sequence", "--q", "2", "--m", "4", "--kind", "D"],
+    ["sweep", "--q", "2", "--m", "4"],
+])
+@pytest.mark.parametrize("order", ["-1", "-2", "three"])
+def test_negative_order_is_rejected_while_parsing(capsys, argv, order):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--order" in err and f"expected an int >= 0: '{order}'" in err
+
+
+def test_order_zero_is_accepted(capsys):
+    status, out, _ = run_cli(capsys, "dickson", "--q", "2", "--m", "3",
+                             "--kind", "D", "--order", "0", "--a", "1")
+    assert status == 0 and "D_0(x, 1)" in out
+
+
 def test_table_wmax_reaches_the_distance_config(monkeypatch):
     seen = []
 

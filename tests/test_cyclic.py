@@ -11,11 +11,12 @@ from hypothesis import strategies as hst
 
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   _colex_array, _exhaustive_distance,
-                                  _isd_witness, _key_table, _lane_bits,
-                                  _mitm_sides, _MitmInfeasible, _side_keys,
-                                  _pair_weights, _rref_codes, _rref_via_parity,
-                                  bch_lower_bound, code_from_sequence,
-                                  codeword_blocks,
+                                  _key_table, _lane_bits, _mitm_sides,
+                                  _MitmInfeasible, _pair_weights,
+                                  _pinned_blocks, _rref_codes,
+                                  _rref_via_parity, _side_keys,
+                                  _WitnessSearch, bch_lower_bound,
+                                  code_from_sequence, codeword_blocks,
                                   even_like_subcode, minimum_distance,
                                   parity_matrix_from_roots, row_space_rref,
                                   weight_distribution)
@@ -246,13 +247,26 @@ def test_parity_check_constructions_agree():
         assert np.array_equal(h1, h2)
 
 
-def test_hard_rows_resolve_exactly():
+def test_hard_rows_resolve_exactly(monkeypatch):
     # BCH-tight rows certified by witness search alone
-    c = build(5, 3, "D", 11, "1")
+    from dickson_codes import cyclic
+
+    reduced = []
+
+    def counted(H, perm, st):
+        reduced.append(perm.tobytes())
+        return _rref_via_parity(H, perm, st)
+
+    monkeypatch.setattr(cyclic, "_rref_via_parity", counted)
+    c = build(5, 3, "D", 11, "1")  # row D7/14
     d = minimum_distance(c, DistanceConfig())
     assert (c.n, c.k, d.value, d.exact) == (124, 96, 13, True)
     assert d.method == "bch+witness"
     assert bch_lower_bound(c) == 13
+    # the quick pass stalls above 13 and MITM level 13 is infeasible; the
+    # rescue resumes the quick pass, which reached 13 at set 48, rather
+    # than drawing its sets again (22 + 48 before)
+    assert len(reduced) <= 48 and len(set(reduced)) == len(reduced)
 
 
 def test_distance_unresolved_reports_bound():
@@ -397,6 +411,51 @@ def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
         assert mitm.exact
 
 
+def _divisor_code(q, m, cofactor):
+    """The cyclic code whose parity polynomial is the given factor of
+    x^n - 1 (coefficients from the constant term up): k = its degree."""
+    F = REG.field(q, m)
+    return CyclicCode(F, Poly.xn_minus_1(F, F.n) // Poly.from_ints(F, cofactor))
+
+
+def _full_code(q, m):
+    F = REG.field(q, m)
+    return CyclicCode(F, Poly.one(F))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+@example(_divisor_code(2, 3, [-1, 1]))  # k = 1: the repetition code
+@example(_divisor_code(4, 2, [-1, 1]))
+@example(_divisor_code(3, 2, [-1, 0, 1]))  # k = 2
+@example(_divisor_code(7, 1, [-1, 0, 1]))
+@example(_full_code(2, 3))  # k = n
+@example(_full_code(5, 1))
+def test_pinned_enumeration_matches_full_walk(code):
+    st = code.field.subfield_tables()
+    words = np.concatenate(list(codeword_blocks(code)))
+    assert len(words) == code.q**code.k
+    weights = np.count_nonzero(words, axis=1)
+    w = int(weights[weights > 0].min())
+    hits = words[weights == w]
+    smallest = tuple(int(x) for x in hits[np.lexsort(hits.T[::-1])[0]])
+    assert _exhaustive_distance(code) == (w, smallest)
+
+    pinned = np.concatenate(list(_pinned_blocks(code)))
+    assert len(pinned) == code.q ** max(code.k - 2, 0)
+    assert (pinned[:, 0] == 1).all()
+    if code.k >= 2:
+        assert not pinned[:, -1].any()
+    assert all(code.contains(word.astype(np.int16)) for word in pinned[:64])
+
+    # the weight enumerator counts q^k words, and the code is cyclic
+    assert sum(weight_distribution(code).values()) == code.q**code.k
+    as_bytes = {word.tobytes() for word in words}
+    assert len(as_bytes) == len(words)
+    assert all(word.tobytes() in as_bytes
+               for word in np.roll(words, 1, axis=1))
+
+
 def _reference_keys(H, st, pos, coeffs, negate):
     """Packed keys of sum_s coeffs[s] * H[:, pos[s]], one support at a
     time: GF(p) digits summed mod p, then packed into lanes of
@@ -496,7 +555,7 @@ def test_isd_rank_loss_is_an_internal_error(monkeypatch):
     code = build(2, 5, "D", 3, "1")
     assert code.n - code.k < code.k
     with pytest.raises(AssertionError, match="information set"):
-        _isd_witness(code, DistanceConfig(), stop_at=1)
+        _WitnessSearch(code, DistanceConfig()).run(1)
 
 
 def _check_rref_via_parity(code, seeds):
@@ -517,11 +576,33 @@ def test_bch_bound_le_distance_le_witness_weight(code):
     exh = _exhaustive_distance(code)
     d = minimum_distance(code)
     assert (d.value, d.witness) == exh and d.bch_bound == lb
-    weight, witness = _isd_witness(code, DistanceConfig(), stop_at=lb,
-                                   stall=ISD_STALL)
+    weight, witness = _WitnessSearch(code, DistanceConfig()).run(
+        lb, stall=ISD_STALL)
     assert lb <= exh[0] <= weight
     vec = np.array(witness, dtype=np.int16)
     assert np.count_nonzero(vec) == weight and code.contains(vec)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes(max_n=80, max_size=None).filter(
+           lambda c: c.n - c.k < c.k < c.n))
+@example(build(5, 3, "D", 11, "1"))  # row D7/14: the quick pass stalls
+def test_resumed_witness_search_equals_a_fresh_one(code):
+    cfg = DistanceConfig(isd_iterations=60)
+    lb = bch_lower_bound(code)
+    reach = _WitnessSearch(code, cfg).run(lb)[0]  # best of the whole budget
+    for c in range(max(lb, reach - 1), reach + 2):
+        resumed = _WitnessSearch(code, cfg)
+        quick = resumed.run(lb, stall=ISD_STALL)
+        quick_sets = resumed.sets
+        again = resumed.run(c)
+        if quick[0] <= c:
+            # already done: no further set is drawn
+            assert (again, resumed.sets) == (quick, quick_sets)
+            continue
+        fresh = _WitnessSearch(code, cfg)
+        assert again == fresh.run(c)
+        assert resumed.sets == fresh.sets > quick_sets
 
 
 @pytest.mark.parametrize("q", DIFF_QS)
