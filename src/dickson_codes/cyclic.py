@@ -102,7 +102,8 @@ class CyclicCode:
     """Cyclic [n, k] code over GF(q) with generator polynomial g.
 
     The parity polynomial h = (x^n - 1)/g is found by division, or, when
-    the caller already has it, checked by g * h = x^n - 1.
+    the caller already has it, checked by g * h = x^n - 1.  ``g_codes`` and
+    ``h_codes`` hold g and h as uint8 code arrays.
     """
 
     def __init__(self, field: Field, g: Poly,
@@ -122,15 +123,17 @@ class CyclicCode:
         xn1 = _codes.xn_minus_1(st)
         g_codes = _codes.poly_to_codes(g, st)
         if h is None:
-            quot, rem = _codes.codes_divmod(xn1, g_codes, st)
+            h_codes, rem = _codes.codes_divmod(xn1, g_codes, st)
             if len(rem):
                 raise ValueError("generator does not divide x^n - 1")
-            h = _codes.codes_to_poly(quot, st)
-        elif (h.field is not field or not np.array_equal(
-                _codes.codes_mul(g_codes, _codes.poly_to_codes(h, st), st),
-                xn1)):
-            raise ValueError("g * h is not x^n - 1")
-        self.h = h
+            h = _codes.codes_to_poly(h_codes, st)
+        elif h.field is not field:
+            raise ValueError("parity polynomial belongs to a different field")
+        else:
+            h_codes = _codes.poly_to_codes(h, st)
+            if not np.array_equal(_codes.codes_mul(g_codes, h_codes, st), xn1):
+                raise ValueError("g * h is not x^n - 1")
+        self.h, self.g_codes, self.h_codes = h, g_codes, h_codes
         self.k = self.n - g.degree
         self.provenance = provenance
 
@@ -141,18 +144,14 @@ class CyclicCode:
 
     def generator_matrix(self) -> np.ndarray:
         """k x n matrix of subfield codes; rows are x^i * g."""
-        st = self.field.subfield_tables()
-        g_codes = _codes.poly_to_codes(self.g, st)
         G = np.zeros((self.k, self.n), dtype=np.uint8)
         for i in range(self.k):
-            G[i, i : i + len(g_codes)] = g_codes
+            G[i, i : i + len(self.g_codes)] = self.g_codes
         return G
 
     def parity_check_matrix(self) -> np.ndarray:
         """(n-k) x n parity-check from the parity polynomial h (Toeplitz)."""
-        st = self.field.subfield_tables()
-        h_codes = _codes.poly_to_codes(self.h, st)
-        rev = h_codes[::-1].copy()
+        rev = self.h_codes[::-1]
         H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
         for i in range(self.n - self.k):
             H[i, i : i + len(rev)] = rev
@@ -174,10 +173,9 @@ class CyclicCode:
 
     def contains(self, codes: np.ndarray) -> bool:
         """Whether a code-vector (length n, subfield codes) is a codeword."""
-        st = self.field.subfield_tables()
-        g_codes = _codes.poly_to_codes(self.g, st)
-        rem = _codes.codes_mod(np.asarray(codes, dtype=np.int16), g_codes, st)
-        return len(rem) == 0
+        codes = np.asarray(codes, dtype=np.uint8)
+        return len(_codes.codes_divmod(codes, self.g_codes,
+                                       self.field.subfield_tables())[1]) == 0
 
 
 def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
@@ -314,7 +312,7 @@ def _exhaustive_distance(code: CyclicCode) -> tuple[int, tuple[int, ...]]:
         cand = _smallest_shift(block[weights == w], st)
         if w < best_w or cand < witness:
             best_w, witness = w, cand
-    if witness is None or not code.contains(np.array(witness, dtype=np.int16)):
+    if witness is None or not code.contains(np.array(witness, dtype=np.uint8)):
         raise AssertionError("exhaustive enumeration produced a non-codeword")
     return best_w, witness
 
@@ -502,7 +500,7 @@ def _mitm_level(code: CyclicCode, table: np.ndarray, w: int,
     if not found:
         return None
     witness = _smallest_shift(np.concatenate(found), st)
-    vec = np.array(witness, dtype=np.int16)
+    vec = np.array(witness, dtype=np.uint8)
     if int(np.count_nonzero(vec)) != w or not code.contains(vec):
         raise AssertionError("meet-in-the-middle produced a non-codeword")
     return witness
@@ -574,8 +572,7 @@ def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
 
 def _rref_codes(M: np.ndarray, st: SubfieldTables):
     """Reduced row echelon form over GF(q) codes; returns (rref, pivots)."""
-    sub = _codes.sub_table(st)
-    A = M.astype(np.uint8).copy()
+    A = M.astype(np.uint8)
     rows, cols = A.shape
     pivots = []
     r = 0
@@ -592,7 +589,8 @@ def _rref_codes(M: np.ndarray, st: SubfieldTables):
         other = np.nonzero(A[:, c])[0]
         other = other[other != r]
         if len(other):
-            A[other] = sub[A[other], st.mul[A[other, c][:, None], A[r][None, :]]]
+            A[other] = st.sub[A[other],
+                              st.mul[A[other, c][:, None], A[r][None, :]]]
         pivots.append(c)
         r += 1
     return A[:r], pivots
@@ -664,7 +662,7 @@ class _WitnessSearch:
                               else since_improved + 1)
         if self.best_w is None:
             return None
-        vec = np.array(self.best_c, dtype=np.int16)
+        vec = np.array(self.best_c, dtype=np.uint8)
         if not code.contains(vec) or int(np.count_nonzero(vec)) != self.best_w:
             raise AssertionError("witness search produced a non-codeword")
         return self.best_w, _normalize_witness(self.best_c, st)
@@ -725,14 +723,14 @@ def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
 
 
 def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> tuple[int, ...]:
-    out = np.zeros(n, dtype=np.int16)
+    out = np.zeros(n, dtype=np.uint8)
     out[perm] = row
     return tuple(int(x) for x in out)
 
 
 def _normalize_witness(vec: tuple[int, ...], st: SubfieldTables) -> tuple[int, ...]:
     """Scale so the first nonzero coefficient is 1 (deterministic form)."""
-    arr = np.array(vec, dtype=np.int16)
+    arr = np.array(vec, dtype=np.uint8)
     nz = np.nonzero(arr)[0]
     if len(nz) == 0:
         return vec
@@ -803,48 +801,26 @@ def minimum_distance(code: CyclicCode,
 
 def parity_matrix_from_roots(code: CyclicCode) -> np.ndarray:
     """Parity rows from evaluating positions at the generator's roots,
-    grouped by coset; same row space as the Toeplitz construction."""
+    grouped by coset; same row space as the Toeplitz construction.
+
+    Row block j holds the m GF(q)-coordinates of alpha^(j * pos) in the
+    basis alpha^0 .. alpha^(m-1), read off one table built from all q^m
+    coefficient vectors: c stands for sum_u c_u alpha^u.
+    """
     F = code.field
-    st = F.subfield_tables()
-    roots = code.root_exponents()
-    leaders = sorted({cyclotomic_coset(code.n, code.q, i).leader for i in roots})
-    coord = _gfq_coordinates(F)
-    rows = []
-    for j in leaders:
-        powers = [(j * pos) % code.n for pos in range(code.n)]
-        mat = np.stack([coord(p_log) for p_log in powers], axis=1)  # (m, n)
-        rows.append(mat)
-    return np.concatenate(rows, axis=0).astype(np.uint8)
-
-
-def _gfq_coordinates(F: Field):
-    """Map a log to its m GF(q)-coordinates w.r.t. the basis alpha^u."""
-    from .galois import _coords_in_span
-
-    st = F.subfield_tables()
-    vt = F.vec_tables()
-    t, m = F.t, F.m
-    beta = F.subfield_step % (F.r - 1)
-    basis_logs = [F.mul(F.pow(beta, s), F.pow(F.alpha, u) if u else 0)
-                  for u in range(m) for s in range(t)]
-    bmat = np.stack([vt.vec_of_log(b) for b in basis_logs])
-    pack = F.p ** np.arange(t, dtype=np.int64)
-    digit_to_code = np.zeros(F.p**t, dtype=np.uint8)
-    for c in range(F.q):
-        digit_to_code[int(st.digits[c] @ pack)] = c
-
-    def coords(x_log: int) -> np.ndarray:
-        vec = vt.vec_of_log(x_log) if x_log != ZERO else np.zeros(F.ext_deg, np.uint8)
-        sol = _coords_in_span(bmat, vec, F.p)  # (m*t,) GF(p) digits
-        out = np.zeros(F.m, dtype=np.uint8)
-        for u in range(m):
-            out[u] = digit_to_code[int(sol[u * t : (u + 1) * t] @ pack)]
-        return out
-
-    return coords
-
-
-def row_space_rref(M: np.ndarray, st: SubfieldTables) -> np.ndarray:
-    """Canonical RREF of a code matrix, for row-space comparisons."""
-    R, _ = _rref_codes(M, st)
-    return R
+    st, vt = F.subfield_tables(), F.vec_tables()
+    n, q, m = code.n, code.q, F.m
+    coeffs = np.arange(q**m)[:, None] // q ** np.arange(m) % q  # (q^m, m)
+    logs = st.code_to_log[coeffs]
+    terms = np.where(logs == ZERO, n, (logs + np.arange(m)) % n)
+    exp_vec = np.vstack([vt.exp_vec, np.zeros((1, vt.deg), np.uint8)])
+    x = vt.logs_of_vecs(exp_vec[terms].sum(axis=1, dtype=np.int64) % F.p)
+    if (np.sort(x) != np.arange(ZERO, n)).any():  # q^m = n + 1 logs
+        raise AssertionError("alpha^0 .. alpha^(m-1) is not a GF(q)-basis")
+    coord = np.empty((n + 1, m), dtype=np.uint8)  # by log, ZERO last
+    coord[x] = coeffs
+    leaders = sorted({cyclotomic_coset(n, q, i).leader
+                      for i in code.root_exponents()})
+    pos = np.arange(n)
+    return np.concatenate([np.zeros((0, n), np.uint8)]  # no roots: k = n
+                          + [coord[j * pos % n].T for j in leaders])

@@ -9,12 +9,14 @@ addition goes through a precomputed Zech-logarithm table
 ``zech[k] = log(1 + alpha^k)``.
 
 The designated subfield GF(q) sits inside GF(r) as {0} together with the
-powers of alpha^((r-1)/(q-1)).  Codeword symbols and polynomial
-coefficients over GF(q) use this embedded representation throughout; the
-compact 0..q-1 encoding used by the search kernels lives in
-:class:`SubfieldTables`.  GF(p) digit vectors for bulk addition live in
-:class:`VecTables`, and arrays indexed by log (the Zech and trace tables)
-in :class:`LogTables`.  Each table set is built on first use.
+powers of alpha^((r-1)/(q-1)).  Scalar GF(q) elements (Poly coefficients,
+sequence values) use this embedded representation.  GF(q) arrays
+(polynomials in the fast path, codewords, G and H) use the compact uint8
+codes 0..q-1 of :class:`SubfieldTables`, the one place that knows that
+encoding; its tables are built by array operations from the GF(p) digit
+vectors of :class:`VecTables`, and need q <= 256.  Arrays indexed by log
+(the Zech and trace tables) live in :class:`LogTables`.  Each table set
+is built on first use.
 """
 
 from __future__ import annotations
@@ -317,62 +319,95 @@ class Field:
 
 
 class SubfieldTables:
-    """Compact GF(q) arithmetic on codes 0..q-1 for the search kernels.
+    """Compact GF(q) arithmetic on codes 0..q-1: the one encoding of GF(q)
+    symbols in code arrays (polynomial coefficients, codewords, generator
+    and parity-check matrices), all of them uint8.
 
-    Code 0 is the zero element; code i >= 1 is alpha^((i-1)*step).  The
-    ``digits`` table gives GF(p)-coordinates of each code with respect to
-    the basis {beta^0, .., beta^(t-1)}, beta = alpha^step, so that
-    addition of symbol vectors is digitwise addition mod p.
+    Code 0 is the zero element; code i >= 1 is beta^(i-1), where
+    beta = alpha^step generates GF(q)*.  Every table is built by array
+    operations from the q GF(p) digit vectors d, d standing for
+    sum_s d_s beta^s (s < t): the sums are formed on ``VecTables`` digit
+    vectors and read back as logs, then as codes.  That gives
+    ``by_digits`` (the code of each digit vector, packed base p with digit
+    s weighing p^s) and its inverse ``digits`` (the digits of each code),
+    so that addition of symbol vectors is digitwise addition mod p.
+    ``add``, ``sub`` and ``neg`` come from digit sums mod p, ``mul`` and
+    ``inv`` from sums of beta-exponents mod q - 1, and ``prod_slots``,
+    ``prod_weights`` and ``prod_codes`` are the Kronecker tables of
+    :func:`dickson_codes._codes.codes_mul`.
+
+    Codes are uint8, so q <= 256; a larger q raises :class:`FieldError`.
     """
 
     def __init__(self, field: Field):
-        self.field = field
         q, p, t = field.q, field.p, field.t
-        self.q, self.p, self.t = q, p, t
-        step = field.subfield_step
-        logs = field.subfield_logs()
-        self.code_to_log = np.array(logs, dtype=np.int32)
-        log_to_code = {ZERO: 0}
-        for i, lg in enumerate(logs[1:], start=1):
-            log_to_code[lg] = i
-        self._log_to_code = log_to_code
+        if q > 256:
+            raise FieldError(
+                f"GF({q}) is too large for the uint8 subfield codes "
+                "(q <= 256)")
+        self.field, self.q, self.p, self.t = field, q, p, t
+        self.code_to_log = np.array(field.subfield_logs(), dtype=np.int32)
+        # the code of each log, indexed by log + 1 (ZERO first); the value q
+        # marks the logs outside GF(q) and, in a last entry, out of range
+        n = field.n
+        self._code_of_log = np.full(n + 2, q, dtype=np.intp)
+        self._code_of_log[0] = 0
+        self._code_of_log[1 : n + 1 : field.subfield_step] = np.arange(1, q)
 
-        self.add = np.zeros((q, q), dtype=np.uint8)
-        self.mul = np.zeros((q, q), dtype=np.uint8)
-        self.neg = np.zeros(q, dtype=np.uint8)
-        self.inv = np.zeros(q, dtype=np.uint8)
-        for i in range(q):
-            x = logs[i]
-            self.neg[i] = log_to_code[field.neg(x)]
-            if i:
-                self.inv[i] = log_to_code[field.inv(x)]
-            for j in range(q):
-                y = logs[j]
-                self.add[i, j] = log_to_code[field.add(x, y)]
-                self.mul[i, j] = log_to_code[field.mul(x, y)]
-
-        # GF(p)-coordinates of each code w.r.t. the beta-power basis.
-        beta = step % (field.r - 1)
-        basis = [field.pow(beta, s) for s in range(t)]
+        # row i of vecs is the digit vector that packs to i
+        weights = p ** np.arange(t, dtype=np.int64)
+        vecs = np.arange(q)[:, None] // weights % p
         vt = field.vec_tables()
-        bmat = np.stack([vt.vec_of_log(b) for b in basis])  # (t, ext_deg)
-        self.digits = np.zeros((q, t), dtype=np.uint8)
-        for i in range(1, q):
-            vec = vt.vec_of_log(logs[i])
-            self.digits[i] = _coords_in_span(bmat, vec, p)
+        basis = vt.exp_vec[np.arange(t) * field.subfield_step % n]
+        by_digits = self.codes_of_logs(
+            vt.logs_of_vecs(vecs @ basis.astype(np.int64) % p))
+        if (np.sort(by_digits) != np.arange(q)).any():
+            raise FieldError(
+                f"the powers of beta do not span GF({q}) over GF({p})")
+        self.by_digits = by_digits
+        self.digits = np.empty((q, t), dtype=np.uint8)
+        self.digits[by_digits] = vecs
+        digits = self.digits.astype(np.int64)
 
-    def code_of_log(self, x: int) -> int:
-        try:
-            return self._log_to_code[x]
-        except KeyError:
-            raise ValueError(
-                f"log {x} is not in the GF({self.q}) subfield") from None
+        def code_of(d):  # codes of integer digit vectors, reduced mod p
+            return by_digits[d % p @ weights]
+
+        self.add = code_of(digits[:, None, :] + digits[None, :, :])
+        self.neg = code_of(-digits)
+        self.sub = self.add[:, self.neg]
+        exps = np.arange(q - 1)
+        self.mul = np.zeros((q, q), dtype=np.uint8)
+        self.mul[1:, 1:] = (exps[:, None] + exps[None, :]) % (q - 1) + 1
+        self.inv = np.zeros(q, dtype=np.uint8)
+        self.inv[1:] = -exps % (q - 1) + 1
+
+        # codes_mul: the digits of code c fill a slot of w = 2t - 1 places;
+        # a slot d of digits stands for sum_e d_e beta^e, and its code is
+        # prod_codes[d @ prod_weights]
+        w = 2 * t - 1
+        self.prod_weights = p ** np.arange(w, dtype=np.int64)
+        self.prod_slots = np.zeros((q, w), dtype=np.int64)
+        self.prod_slots[:, :t] = digits
+        powers = digits[np.arange(w) % (q - 1) + 1]  # beta^e, e < w
+        wide = np.arange(p**w)[:, None] // self.prod_weights % p
+        self.prod_codes = code_of(wide @ powers)
 
     def codes_of_logs(self, logs) -> np.ndarray:
-        return np.array([self.code_of_log(x) for x in logs], dtype=np.uint8)
+        """uint8 codes of subfield logs; ValueError for any value outside
+        {ZERO} and the GF(q) subfield."""
+        x = np.asarray(logs, dtype=np.int64)
+        # as unsigned, x + 1 is above n for every x outside ZERO..n-1
+        index = np.minimum((x + 1).view(np.uint64), self.field.n + 1)
+        codes = self._code_of_log[index]
+        outside = codes == self.q
+        if np.count_nonzero(outside):
+            raise ValueError(
+                f"log {x[outside][0]} is not in the GF({self.q}) subfield")
+        return codes.astype(np.uint8)
 
     def scalar_code(self, c: int) -> int:
-        return self.code_of_log(self.field.scalar(c))
+        """The code of the prime-subfield element c * 1."""
+        return int(self.by_digits[c % self.p])
 
 
 class VecTables:
@@ -396,11 +431,6 @@ class VecTables:
         rep_to_log[codes] = np.arange(r - 1)
         self.rep_to_log = rep_to_log
         self._packed = None
-
-    def vec_of_log(self, x: int) -> np.ndarray:
-        if x == ZERO:
-            return np.zeros(self.deg, dtype=np.uint8)
-        return self.exp_vec[x]
 
     def logs_of_vecs(self, vecs: np.ndarray) -> np.ndarray:
         packed = (vecs.astype(np.int64) @ self.pack_weights)
@@ -476,43 +506,6 @@ class LogTables:
         conjugates = [pow(field.q, i, n) for i in range(m)]
         self.trace = np.append(field.vec_tables().power_sums(
             np.arange(n), conjugates, np.zeros(m, dtype=np.int64)), ZERO)
-
-
-def _coords_in_span(bmat: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of vec in the row span of bmat over GF(p)."""
-    t = bmat.shape[0]
-    rows = bmat.astype(np.int64) % p
-    trans = np.eye(t, dtype=np.int64)
-    piv_cols: list[int] = []
-    rank = 0
-    for col in range(bmat.shape[1]):
-        piv = next((i for i in range(rank, t) if rows[i, col] % p), None)
-        if piv is None:
-            continue
-        rows[[rank, piv]] = rows[[piv, rank]]
-        trans[[rank, piv]] = trans[[piv, rank]]
-        inv = pow(int(rows[rank, col]), p - 2, p)
-        rows[rank] = rows[rank] * inv % p
-        trans[rank] = trans[rank] * inv % p
-        for i in range(t):
-            if i != rank and rows[i, col]:
-                f = rows[i, col]
-                rows[i] = (rows[i] - f * rows[rank]) % p
-                trans[i] = (trans[i] - f * trans[rank]) % p
-        piv_cols.append(col)
-        rank += 1
-        if rank == t:
-            break
-    v = vec.astype(np.int64) % p
-    coords = np.zeros(t, dtype=np.int64)
-    for i, col in enumerate(piv_cols):
-        c = v[col] % p
-        if c:
-            v = (v - c * rows[i]) % p
-            coords = (coords + c * trans[i]) % p
-    if v.any():
-        raise ValueError("vector does not lie in the subfield span")
-    return coords.astype(np.uint8)
 
 
 def find_primitive_poly(p: int, degree: int) -> tuple[int, ...]:

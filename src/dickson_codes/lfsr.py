@@ -113,15 +113,13 @@ def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:
     """Minimal polynomial via M = (x^n - 1)/gcd(x^n - 1, S(x)); the gcd is
     returned as the cofactor."""
     st = s.field.subfield_tables()
-    s_codes = st.codes_of_logs(s.values).astype(np.int16)
+    s_codes = st.codes_of_logs(s.values)
     xn1 = _codes.xn_minus_1(st)
     g = _codes.codes_gcd(xn1, s_codes, st)
+    # x^n - 1 and the gcd are monic, so the quotient is too
     quot, rem = _codes.codes_divmod(xn1, g, st)
     if len(rem):
         raise AssertionError("gcd does not divide x^n - 1")
-    if len(quot):
-        quot = quot.copy()
-        quot[:] = st.mul[st.inv[quot[-1]], quot]
     m_poly = _codes.codes_to_poly(quot, st)
     span = s.field.n - (len(g) - 1)
     _check_recurrence(s_codes, quot, st)
@@ -139,7 +137,7 @@ def _check_recurrence(s_codes: np.ndarray, m_codes: np.ndarray,
     included).  All n sums come from one product S(x)M(x), folded at x^n.
     """
     n = len(s_codes)
-    folded = np.zeros(2 * n, dtype=np.int16)
+    folded = np.zeros(2 * n, dtype=np.uint8)
     prod = _codes.codes_mul(s_codes, m_codes, st)
     folded[: len(prod)] = prod
     if np.any(st.add[folded[:n], folded[n:]]):

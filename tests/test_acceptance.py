@@ -238,7 +238,7 @@ def test_criterion_10_proof_witnesses():
         code = code_from_sequence(
             defining_sequence(F, DicksonSpec(kind="D", h=4, a=F.one)))
         st = F.subfield_tables()
-        vec = np.zeros(F.n, dtype=np.int16)
+        vec = np.zeros(F.n, dtype=np.uint8)
         vec[0] = st.scalar_code(2)
         vec[F.n // 2] = st.scalar_code(1)
         assert code.contains(vec)

@@ -250,3 +250,14 @@ def test_malformed_registry_record_exits_2(capsys, tmp_path):
                              "--registry", str(target))
     assert status == 2
     assert "malformed registry record" in err
+
+
+@pytest.mark.parametrize("command", ["code", "sequence"])
+def test_subfield_over_256_symbols_exits_2(capsys, tmp_path, command):
+    target = tmp_path / "registry.txt"
+    target.write_text("257 1 1  254 1\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, command, "--q", "257", "--m", "1",
+                             "--registry", str(target), "--kind", "D",
+                             "--order", "2", "--a", "1")
+    assert status == 2
+    assert err.startswith("error:") and "uint8" in err

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from dickson_codes.galois import (Field, FieldError, FieldSpec, VecTables,
@@ -202,8 +203,50 @@ def test_codes_of_logs_rejects_values_outside_the_subfield():
     f = default_registry().field(4, 2)  # GF(4) = {0} + logs 0, 5, 10
     st = f.subfield_tables()
     assert st.codes_of_logs([ZERO, 0, 5, 10]).tolist() == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        st.codes_of_logs([0, 1])
+    for outside in ([0, 1], [-2], [f.n], [ZERO, f.n + 5]):
+        with pytest.raises(ValueError):
+            st.codes_of_logs(outside)
+
+
+def test_subfield_tables_match_scalar_arithmetic():
+    reg = default_registry()
+    # every registry field, and the largest subfields uint8 codes hold
+    fields = [reg.field(q, m) for q, m in sorted(reg.pairs())]
+    fields += [Field(FieldSpec(p, t, 1, find_primitive_poly(p, t)))
+               for p, t in [(2, 8), (3, 5)]]
+    for f in fields:
+        q = f.q
+        st = f.subfield_tables()
+        logs = st.code_to_log.tolist()
+        code = {x: c for c, x in enumerate(logs)}
+        assert len(code) == q
+        for i, x in enumerate(logs):
+            assert logs[st.neg[i]] == f.neg(x)
+            if i:
+                assert logs[st.inv[i]] == f.inv(x)
+            for j, y in enumerate(logs):
+                assert logs[st.add[i, j]] == f.add(x, y)
+                assert logs[st.sub[i, j]] == f.sub(x, y)
+                assert logs[st.mul[i, j]] == f.mul(x, y)
+        # digits rebuild each element from the beta-power basis
+        beta = f.subfield_step
+        for c, x in enumerate(logs):
+            acc = ZERO
+            for s, d in enumerate(st.digits[c].tolist()):
+                for _ in range(d):
+                    acc = f.add(acc, f.pow(beta, s))
+            assert acc == x
+        packed = st.digits.astype(int) @ (f.p ** np.arange(f.t))
+        assert st.by_digits[packed].tolist() == list(range(q))
+        assert sorted(packed.tolist()) == list(range(q))
+        assert st.scalar_code(-1) == code[f.neg(f.one)]
+
+
+def test_subfield_over_256_symbols_is_a_field_error():
+    f = Field(FieldSpec(p=257, t=1, m=1, prim_poly=(254, 1)))
+    assert f.q == 257
+    with pytest.raises(FieldError, match="uint8"):
+        f.subfield_tables()
 
 
 @pytest.mark.parametrize("block", [1 << 20, 7])
