@@ -7,7 +7,7 @@ from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
                      minimum_distance, weight_distribution)
 from .dickson import (DicksonSpec, dickson_first, dickson_poly,
                       dickson_second, shift_by_one)
-from .galois import (Field, FieldError, FieldSpec, ZERO,
+from .galois import (Field, FieldError, FieldSpec, InternalError, ZERO,
                      artin_cubic_has_nonzero_root, find_primitive_poly)
 from .lfsr import (MinimalPolyResult, PeriodicSequence, Spectrum,
                    defining_sequence, minimal_poly_dft, minimal_poly_gcd,
@@ -27,7 +27,7 @@ __all__ = [
     "minimum_distance", "weight_distribution",
     "DicksonSpec", "dickson_first", "dickson_poly", "dickson_second",
     "shift_by_one",
-    "Field", "FieldError", "FieldSpec", "ZERO",
+    "Field", "FieldError", "FieldSpec", "InternalError", "ZERO",
     "artin_cubic_has_nonzero_root", "find_primitive_poly",
     "MinimalPolyResult", "PeriodicSequence", "Spectrum", "defining_sequence",
     "minimal_poly_dft", "minimal_poly_gcd", "sequence_poly", "spectrum",

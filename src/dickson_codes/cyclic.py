@@ -15,7 +15,7 @@ Distance strategy, in order:
   words found, as for MITM below.  A high-rate code (n - k < k)
   under the cap first tries the MITM sweep below, taking a level only
   while the levels' summed side sizes stay below q^k; enumeration runs
-  when that budget runs out or a level is infeasible.  Low-rate codes
+  when that budget runs out or a side exceeds the side limit.  Low-rate codes
   are enumerated directly, which is cheaper for them.
 * **mitm** - otherwise weights w are swept upward from the BCH lower
   bound, so a level that completes without a match raises the certified
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import _codes
 from .dickson import DicksonSpec
-from .galois import Field, SubfieldTables, ZERO
+from .galois import Field, InternalError, SubfieldTables, ZERO
 from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal_poly_gcd
 from .polyring import Poly, coset_leaders, cyclotomic_coset
 
@@ -188,7 +188,7 @@ def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
     res_gcd: MinimalPolyResult = minimal_poly_gcd(s)
     res_dft: MinimalPolyResult = minimal_poly_dft(s)
     if res_gcd.poly != res_dft.poly:
-        raise AssertionError("gcd and spectral minimal polynomials disagree")
+        raise InternalError("gcd and spectral minimal polynomials disagree")
     return CyclicCode(s.field, res_gcd.poly, provenance=s.provenance,
                       h=res_gcd.cofactor)
 
@@ -200,7 +200,7 @@ def bch_lower_bound(code: CyclicCode) -> int:
     run = _longest_cyclic_run(roots, code.n)
     neg = sorted((-i) % code.n for i in roots)
     if _longest_cyclic_run(neg, code.n) != run:
-        raise AssertionError("run length differs between R and -R")
+        raise InternalError("run length differs between R and -R")
     return run + 1
 
 
@@ -313,7 +313,7 @@ def _exhaustive_distance(code: CyclicCode) -> tuple[int, tuple[int, ...]]:
         if w < best_w or cand < witness:
             best_w, witness = w, cand
     if witness is None or not code.contains(np.array(witness, dtype=np.uint8)):
-        raise AssertionError("exhaustive enumeration produced a non-codeword")
+        raise InternalError("exhaustive enumeration produced a non-codeword")
     return best_w, witness
 
 
@@ -329,15 +329,11 @@ def weight_distribution(code: CyclicCode,
         counts += np.bincount(np.count_nonzero(block, axis=1),
                               minlength=code.n + 1)
     if counts.sum() != code.q**code.k:
-        raise AssertionError("enumeration did not visit q^k codewords")
+        raise InternalError("enumeration did not visit q^k codewords")
     return {w: int(c) for w, c in enumerate(counts) if c}
 
 
 # -- meet-in-the-middle syndrome search ---------------------------------------
-
-
-class _MitmInfeasible(Exception):
-    pass
 
 
 def _mitm_sides(n: int, q: int, w: int) -> tuple[int, int]:
@@ -426,8 +422,8 @@ def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
     return (mixed >> np.uint64(64 - bits)).astype(np.int64)
 
 
-def _mitm_level(code: CyclicCode, table: np.ndarray, w: int,
-                cfg: DistanceConfig) -> tuple[int, ...] | None:
+def _mitm_level(code: CyclicCode, table: np.ndarray,
+                w: int) -> tuple[int, ...] | None:
     """Full MITM sweep at weight w over the pinned split (module
     docstring), with keys from ``table = _key_table(H, st)``; returns the
     lexicographically smallest codeword of weight w, or None if none
@@ -435,9 +431,6 @@ def _mitm_level(code: CyclicCode, table: np.ndarray, w: int,
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
     """
-    side = max(_mitm_sides(code.n, code.q, w))
-    if side > cfg.mitm_side_limit:
-        raise _MitmInfeasible(f"side size {side} over limit")
     st = code.field.subfield_tables()
     q, n, p = code.q, code.n, st.p
     w1, w2 = (w + 1) // 2, w // 2
@@ -502,38 +495,36 @@ def _mitm_level(code: CyclicCode, table: np.ndarray, w: int,
     witness = _smallest_shift(np.concatenate(found), st)
     vec = np.array(witness, dtype=np.uint8)
     if int(np.count_nonzero(vec)) != w or not code.contains(vec):
-        raise AssertionError("meet-in-the-middle produced a non-codeword")
+        raise InternalError("meet-in-the-middle produced a non-codeword")
     return witness
 
 
 def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
                 cfg: DistanceConfig, budget: int | None = None):
     """MITM levels from weight w upward, while w <= cfg.w_max and w < stop
-    (None: no stop).  With a budget, a level is taken only while the
-    summed side sizes of the levels taken so far, this one included, stay
-    below it.
+    (None: no stop).  A level is taken only while neither side exceeds
+    ``cfg.mitm_side_limit`` and, with a budget, while the summed side
+    sizes of the levels taken so far, this one included, stay below it.
 
-    Returns (w, hit, swept, blocked).  On a hit, w is its weight and the
+    Returns (w, hit, blocked).  On a hit, w is its weight and the
     distance; otherwise hit is None and w the first weight not ruled out,
-    a certified lower bound.  ``swept``: some level completed.
-    ``blocked``: the sweep stopped at an infeasible or over-budget level.
+    a certified lower bound.  ``blocked``: the sweep stopped at a level
+    over the side limit or the budget.
     """
-    keys, swept, table = 0, False, None
+    keys, table = 0, None
     while w <= cfg.w_max and (stop is None or w < stop):
-        keys += sum(_mitm_sides(code.n, code.q, w))
-        if budget is not None and keys >= budget:
-            return w, None, swept, True
+        sides = _mitm_sides(code.n, code.q, w)
+        keys += sum(sides)
+        if (max(sides) > cfg.mitm_side_limit
+                or (budget is not None and keys >= budget)):
+            return w, None, True
         if table is None:  # the same H at every level
             table = _key_table(H, code.field.subfield_tables())
-        try:
-            hit = _mitm_level(code, table, w, cfg)
-        except _MitmInfeasible:
-            return w, None, swept, True
-        swept = True
+        hit = _mitm_level(code, table, w)
         if hit is not None:
-            return w, hit, swept, False
+            return w, hit, False
         w += 1
-    return w, None, swept, False
+    return w, None, False
 
 
 def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
@@ -664,7 +655,7 @@ class _WitnessSearch:
             return None
         vec = np.array(self.best_c, dtype=np.uint8)
         if not code.contains(vec) or int(np.count_nonzero(vec)) != self.best_w:
-            raise AssertionError("witness search produced a non-codeword")
+            raise InternalError("witness search produced a non-codeword")
         return self.best_w, _normalize_witness(self.best_c, st)
 
     def _draw(self, st: SubfieldTables) -> None:
@@ -676,7 +667,7 @@ class _WitnessSearch:
                      else _rref_codes(self.M[:, perm], st))
         if R.shape[0] != k:
             # G has rank k and H rank n - k for every cyclic code
-            raise AssertionError("information set of the wrong size")
+            raise InternalError("information set of the wrong size")
         best_w = n + 1 if self.best_w is None else self.best_w
         best_c = self.best_c
         weights = np.count_nonzero(R, axis=1)
@@ -760,8 +751,8 @@ def minimum_distance(code: CyclicCode,
         if code.n - code.k < code.k:
             # high rate: the levels up to d usually hold far fewer keys than
             # the code has codewords, and find the same witness
-            w, hit, _, _ = _mitm_sweep(code, code.parity_check_matrix(), lb,
-                                       None, cfg, budget=size)
+            w, hit, _ = _mitm_sweep(code, code.parity_check_matrix(), lb,
+                                    None, cfg, budget=size)
             if hit is not None:
                 return DistanceResult(w, True, "mitm", bch_bound=lb,
                                       witness=hit, certified_lower=w)
@@ -773,7 +764,7 @@ def minimum_distance(code: CyclicCode,
     isd = search.run(lb, stall=ISD_STALL)
     upper = isd[0] if isd else None
 
-    certified, hit, mitm_used, hit_wall = _mitm_sweep(
+    certified, hit, hit_wall = _mitm_sweep(
         code, code.parity_check_matrix(), lb, upper, cfg)
     if hit is not None:
         return DistanceResult(certified, True, "mitm", bch_bound=lb,
@@ -786,7 +777,8 @@ def minimum_distance(code: CyclicCode,
         upper = isd[0] if isd else None
 
     if upper is not None and upper == certified:
-        method = "mitm+witness" if mitm_used else "bch+witness"
+        # a completed level raised the certified bound above the BCH bound
+        method = "mitm+witness" if certified > lb else "bch+witness"
         return DistanceResult(upper, True, method, bch_bound=lb,
                               witness=isd[1], certified_lower=certified)
 
@@ -816,7 +808,7 @@ def parity_matrix_from_roots(code: CyclicCode) -> np.ndarray:
     exp_vec = np.vstack([vt.exp_vec, np.zeros((1, vt.deg), np.uint8)])
     x = vt.logs_of_vecs(exp_vec[terms].sum(axis=1, dtype=np.int64) % F.p)
     if (np.sort(x) != np.arange(ZERO, n)).any():  # q^m = n + 1 logs
-        raise AssertionError("alpha^0 .. alpha^(m-1) is not a GF(q)-basis")
+        raise InternalError("alpha^0 .. alpha^(m-1) is not a GF(q)-basis")
     coord = np.empty((n + 1, m), dtype=np.uint8)  # by log, ZERO last
     coord[x] = coeffs
     leaders = sorted({cyclotomic_coset(n, q, i).leader

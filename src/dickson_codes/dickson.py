@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .galois import Field, ZERO
+from .galois import Field, InternalError, ZERO
 from .polyring import Poly
 
 FIRST = "D"
@@ -59,7 +59,7 @@ def _closed_form(h: int, a: int, field: Field, first_kind: bool) -> Poly:
             num = h * comb(h - i, i)
             # h/(h-i) * C(h-i, i) is always an integer for Dickson weights
             if num % (h - i):
-                raise AssertionError(f"non-integer Dickson coefficient at h={h}, i={i}")
+                raise InternalError(f"non-integer Dickson coefficient at h={h}, i={i}")
             c_int = num // (h - i)
         else:
             c_int = comb(h - i, i)
@@ -102,7 +102,10 @@ def dickson_second_recurrence(h: int, a: int, field: Field) -> Poly:
 
 
 def dickson_poly(spec: DicksonSpec, field: Field) -> Poly:
-    """The polynomial selected by a DicksonSpec, offset included."""
+    """The polynomial selected by a DicksonSpec, offset included; a or
+    offset not an element of the field raises ValueError."""
+    field.check(spec.a)
+    field.check(spec.offset)
     if spec.kind == FIRST:
         f = dickson_first(spec.h, spec.a, field)
     else:

@@ -35,6 +35,10 @@ class FieldError(ValueError):
     """Raised when a field cannot be constructed as specified."""
 
 
+class InternalError(RuntimeError):
+    """A self-check of the library failed: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Construction data for GF(p^(t*m)) with subfield GF(p^t).

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _codes
 from .dickson import DicksonSpec, dickson_poly
-from .galois import Field, ZERO
+from .galois import Field, InternalError, ZERO
 from .polyring import Poly, coset_table, minimal_poly_product
 
 
@@ -51,9 +51,8 @@ class PeriodicSequence:
         if len(self.values) != self.field.n:
             raise ValueError(
                 f"sequence length {len(self.values)} != n = {self.field.n}")
-        step = self.field.subfield_step
-        if any(v != ZERO and v % step for v in self.values):
-            raise ValueError("sequence value outside the GF(q) subfield")
+        # ValueError for any value outside {ZERO} and the GF(q) subfield
+        self.field.subfield_tables().codes_of_logs(self.values)
 
     @property
     def n(self) -> int:
@@ -119,7 +118,7 @@ def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:
     # x^n - 1 and the gcd are monic, so the quotient is too
     quot, rem = _codes.codes_divmod(xn1, g, st)
     if len(rem):
-        raise AssertionError("gcd does not divide x^n - 1")
+        raise InternalError("gcd does not divide x^n - 1")
     m_poly = _codes.codes_to_poly(quot, st)
     span = s.field.n - (len(g) - 1)
     _check_recurrence(s_codes, quot, st)
@@ -141,7 +140,7 @@ def _check_recurrence(s_codes: np.ndarray, m_codes: np.ndarray,
     prod = _codes.codes_mul(s_codes, m_codes, st)
     folded[: len(prod)] = prod
     if np.any(st.add[folded[:n], folded[n:]]):
-        raise AssertionError("minimal polynomial recurrence fails on the sequence")
+        raise InternalError("minimal polynomial recurrence fails on the sequence")
 
 
 def spectrum(s: PeriodicSequence) -> Spectrum:
@@ -166,7 +165,7 @@ def spectrum(s: PeriodicSequence) -> Spectrum:
     sup = np.flatnonzero(c_logs != ZERO)
     rec = vt.power_sums(np.arange(n, dtype=np.int64), sup, c_logs[sup])
     if not np.array_equal(rec, s_logs):
-        raise AssertionError("spectrum reconstruction identity failed")
+        raise InternalError("spectrum reconstruction identity failed")
     return Spectrum(field=F, coeffs=tuple(c_logs.tolist()),
                     support=tuple(sup.tolist()))
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .galois import Field, ZERO
+from .galois import Field, InternalError, ZERO
 
 
 class Poly:
@@ -307,7 +307,7 @@ def minimal_polynomial(field: Field, a: int) -> Poly:
         for j in cyclotomic_coset(n, field.q, leader).members:
             out = out * Poly(field, (field.neg(j), field.one))
         if not out.in_subfield():
-            raise AssertionError(
+            raise InternalError(
                 f"minimal polynomial of a^{a} has coefficients outside "
                 f"GF({field.q})")
         field.coset_polys[leader] = out

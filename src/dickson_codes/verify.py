@@ -1,14 +1,16 @@
 """Executable case analysis of the claimed code parameters, plus
 reproduction of the printed code tables.
 
-``predict`` encodes each statement's case split literally: the algebraic
-condition on the parameter a selects the stated product of (x-1)^delta
-and minimal polynomials, the dimension is the complement of its degree,
-and a distance constraint (exact value, range, or lower bound) comes from
-the statement's distance table.  Documented resolutions of inconsistent
-delta-arguments (see data/errata.csv) are baked in.
+``predict`` reads one table, ``_STATEMENTS``: it takes the statement
+whose (p, t, q, h) regime holds, checks its guard, evaluates delta once,
+and runs the statement's literal case split, in which the condition on
+the parameter a selects the stated product of (x-1)^delta and minimal
+polynomials and a distance constraint (exact value, range, or lower
+bound); the dimension is the complement of the product's degree.
+Documented resolutions of inconsistent delta-arguments (see
+data/errata.csv) are baked in.
 
-Regime guards are computational: a handler applies only when its source
+Regime guards are computational: a statement applies only when its source
 exponents are nonzero mod n, lie in pairwise distinct q-cyclotomic
 cosets, and each coset has full size m.  These are exactly the structural
 facts the statements rely on, so the guard extends a regime to any (q, m)
@@ -28,6 +30,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
                      bch_lower_bound, code_from_sequence, minimum_distance)
@@ -95,8 +98,6 @@ class PredictedCode:
 def _sources_ok(F: Field, exponents) -> bool:
     """Regime guard: sources nonzero mod n, distinct cosets, full size m."""
     n = F.n
-    if n < 2:
-        return False
     leaders = set()
     for e in exponents:
         e %= n
@@ -109,13 +110,6 @@ def _sources_ok(F: Field, exponents) -> bool:
     return True
 
 
-def _assemble(F: Field, delta_arg: int, exponents) -> tuple[Poly, int]:
-    """(x-1)^delta(arg) * prod of minimal polynomials of alpha^{-e}."""
-    delta = F.delta(delta_arg)
-    roots = [0] * delta + [-e for e in exponents]  # alpha^0 = 1: x - 1
-    return minimal_poly_product(F, roots), delta
-
-
 def _is_p_power(h: int, p: int) -> bool:
     if h < 1:
         return False
@@ -124,7 +118,7 @@ def _is_p_power(h: int, p: int) -> bool:
     return h == 1
 
 
-def _poly_in_a(F: Field, a: int, coeffs: list[int]) -> int:
+def _poly_in_a(F: Field, a: int, coeffs: Sequence[int]) -> int:
     """Evaluate an integer-coefficient polynomial at a (constant first)."""
     acc = ZERO
     for i, c in enumerate(coeffs):
@@ -133,133 +127,65 @@ def _poly_in_a(F: Field, a: int, coeffs: list[int]) -> int:
     return acc
 
 
-def predict(spec: DicksonSpec, F: Field) -> PredictedCode:
-    """Predicted generator, dimension and distance constraint.
+class _Statement(NamedTuple):
+    """One statement: the (p, t, q, h) regime it covers, its source
+    exponents (None: h itself), the argument of delta as the integer
+    coefficients of a polynomial in a (constant first), and its case split
+    (F, h, a, delta) -> (case label, exponents e, distance constraint).
+    The generator is (x-1)^delta * prod_e M_{alpha^-e}."""
 
-    Raises NoTheoremApplies outside the implemented first-kind regimes
-    (order p^u, 2, 3, 4, 5 with the stated characteristic splits).
-    """
-    if spec.kind != "D" or spec.offset != ZERO:
-        raise NoTheoremApplies("no theorem applies; use the generic pipeline")
-    p, t, q, h, a = F.p, F.t, F.q, spec.h, spec.a
-
-    if _is_p_power(h, p):
-        return _predict_trace_power(F, spec)
-    if h == 2 and p > 2:
-        return _predict_order2(F, spec)
-    if h == 3 and q == 2:
-        return _predict_order3_binary(F, spec)
-    if h == 3 and (p >= 5 or (p == 2 and t >= 2)):
-        return _predict_order3_general(F, spec)
-    if h == 4 and q == 3:
-        return _predict_order4_ternary(F, spec)
-    if h == 4 and (p >= 5 or (p == 3 and t >= 2)):
-        return _predict_order4_general(F, spec)
-    if h == 5 and q == 2:
-        return _predict_order5_binary(F, spec)
-    if h == 5 and q == 4:
-        return _predict_order5_quaternary(F, spec)
-    if h == 5 and p == 2 and t >= 3:
-        return _predict_order5_char2(F, spec)
-    if h == 5 and q == 3:
-        return _predict_order5_ternary(F, spec)
-    if h == 5 and p == 3 and t >= 2:
-        return _predict_order5_char3(F, spec)
-    if h == 5 and p >= 7:
-        return _predict_order5_large(F, spec)
-    raise NoTheoremApplies("no theorem applies; use the generic pipeline")
+    theorem: str
+    regime: Callable[[int, int, int, int], bool]
+    sources: tuple[int, ...] | None
+    delta_arg: tuple[int, ...]
+    cases: Callable[[Field, int, int, int], tuple[str, list[int], DConstraint]]
 
 
-def _guarded(F: Field, sources) -> None:
-    if not _sources_ok(F, sources):
-        raise NoTheoremApplies("coset structure outside the stated regime")
-
-
-def _finish(F: Field, theorem: str, case: str, delta_arg: int,
-            exponents, dcon: DConstraint) -> PredictedCode:
-    g, _ = _assemble(F, delta_arg, exponents)
-    return PredictedCode(theorem=theorem, case=case, generator=g,
-                         dimension=F.n - g.degree, d_constraint=dcon)
-
-
-def _predict_trace_power(F: Field, spec: DicksonSpec) -> PredictedCode:
-    h = spec.h
-    _guarded(F, [h])
-    delta = F.delta(F.one)
+def _prime_power(F: Field, h: int, a: int, delta: int):
     if F.q == 2:
         dcon = exact(4) if delta else exact(3)
     else:
         dcon = exact(3) if delta else exact(2)
-    return _finish(F, "prime-power", f"h={h}, delta(1)={delta}", F.one, [h],
-                   dcon=dcon)
+    return f"h={h}, delta(1)={delta}", [h], dcon
 
 
-def _predict_order2(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2])
-    arg = _poly_in_a(F, spec.a, [1, -2])  # 1 - 2a
-    delta = F.delta(arg)
+def _order2(F: Field, h: int, a: int, delta: int):
     if F.q == 3:
         dcon = rng(4, 5) if delta else exact(4)
     else:
         dcon = rng(3, 4) if delta else exact(3)
-    return _finish(F, "order2", f"delta(1-2a)={delta}", arg, [1, 2],
-                   dcon=dcon)
+    return f"delta(1-2a)={delta}", [1, 2], dcon
 
 
-def _predict_order3_binary(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 3])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1])  # 1 + a
-    delta = F.delta(arg)
+def _order3_binary(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
-        dcon = exact(4) if delta else exact(2)
-        return _finish(F, "order3-binary", f"a=0, delta(1)={delta}", arg, [3],
-                       dcon=dcon)
-    dcon = lower(6) if delta else lower(5)
-    return _finish(F, "order3-binary", f"a!=0, delta(1+a)={delta}", arg, [1, 3],
-                   dcon=dcon)
+        return f"a=0, delta(1)={delta}", [3], exact(4) if delta else exact(2)
+    return (f"a!=0, delta(1+a)={delta}", [1, 3],
+            lower(6) if delta else lower(5))
 
 
-def _predict_order3_general(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, -3])  # 1 - 3a
-    delta = F.delta(arg)
+def _order3_general(F: Field, h: int, a: int, delta: int):
     if a == F.one:
-        return _finish(F, "order3-general", "a=1", arg, [2, 3], dcon=lower(3))
+        return "a=1", [2, 3], lower(3)
     base = 4 + delta + (1 if F.q == 4 else 0)
-    return _finish(F, "order3-general", f"a!=1, delta(1-3a)={delta}", arg,
-                   [1, 2, 3], dcon=lower(base))
+    return f"a!=1, delta(1-3a)={delta}", [1, 2, 3], lower(base)
 
 
-def _predict_order4_ternary(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 4])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, -1, -1])  # 1 - a - a^2
-    delta = F.delta(arg)
+def _order4_ternary(F: Field, h: int, a: int, delta: int):
     if a == F.one:
-        return _finish(F, "order4-ternary", "a=1", arg, [2, 4], dcon=exact(2))
+        return "a=1", [2, 4], exact(2)
     if a == ZERO:
         dcon = exact(3) if F.m % 6 == 0 else lower(4)
-        return _finish(F, "order4-ternary", f"a=0, m mod 6={F.m % 6}", arg, [1, 4],
-                       dcon=dcon)
-    return _finish(F, "order4-ternary", f"a(a-1)!=0, delta={delta}", arg,
-                   [1, 2, 4], dcon=lower(5 + delta))
+        return f"a=0, m mod 6={F.m % 6}", [1, 4], dcon
+    return f"a(a-1)!=0, delta={delta}", [1, 2, 4], lower(5 + delta)
 
 
-def _predict_order4_general(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3, 4])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, -4, 2])  # 1 - 4a + 2a^2
-    delta = F.delta(arg)
-    three_halves = F.div(F.scalar(3), F.scalar(2))
-    one_half = F.div(F.one, F.scalar(2))
-    if a == three_halves:
-        return _finish(F, "order4-general", "a=3/2", arg, [1, 3, 4], dcon=lower(3))
-    if a == one_half:
-        return _finish(F, "order4-general", "a=1/2", arg, [2, 3, 4], dcon=lower(4))
-    return _finish(F, "order4-general", f"a generic, delta={delta}", arg,
-                   [1, 2, 3, 4], dcon=lower(5 + delta))
+def _order4_general(F: Field, h: int, a: int, delta: int):
+    if a == F.div(F.scalar(3), F.scalar(2)):
+        return "a=3/2", [1, 3, 4], lower(3)
+    if a == F.div(F.one, F.scalar(2)):
+        return "a=1/2", [2, 3, 4], lower(4)
+    return f"a generic, delta={delta}", [1, 2, 3, 4], lower(5 + delta)
 
 
 def _gcd5_case(F: Field, delta: int) -> DConstraint:
@@ -272,100 +198,113 @@ def _gcd5_case(F: Field, delta: int) -> DConstraint:
     return exact(3)
 
 
-def _predict_order5_binary(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 3, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1, 1])  # 1 + a + a^2; Tr equals Tr(1) here
-    delta = F.delta(arg)
+def _order5_binary(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
-        return _finish(F, "order5-binary", f"a=0, delta(1)={delta}", arg, [5],
-                       dcon=_gcd5_case(F, delta))
+        return f"a=0, delta(1)={delta}", [5], _gcd5_case(F, delta)
     if _poly_in_a(F, a, [1, 1, 0, 1]) == ZERO:  # 1 + a + a^3 = 0
-        return _finish(F, "order5-binary", f"1+a+a^3=0, delta(1)={delta}", arg,
-                       [3, 5], dcon=lower(3 + delta))
-    return _finish(F, "order5-binary", f"a+a^2+a^4!=0, delta(1)={delta}", arg,
-                   [1, 3, 5], dcon=lower(7 + delta))
+        return f"1+a+a^3=0, delta(1)={delta}", [3, 5], lower(3 + delta)
+    return (f"a+a^2+a^4!=0, delta(1)={delta}", [1, 3, 5],
+            lower(7 + delta))
 
 
-def _predict_order5_quaternary(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1, 1])  # 1 + a + a^2
-    delta = F.delta(arg)
+def _order5_quaternary(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
-        return _finish(F, "order5-quaternary", f"a=0, delta(1)={delta}", arg, [5],
-                       dcon=_gcd5_case(F, delta))
+        return f"a=0, delta(1)={delta}", [5], _gcd5_case(F, delta)
     if a == F.one:
         # BCH from zeros alpha^2, alpha^3 only; the printed delta(1)=1
         # strengthening is unsound over GF(4) (STMT-ORDER5-Q4-EVEN)
-        return _finish(F, "order5-quaternary", f"a=1, delta(1)={delta}", arg,
-                       [2, 3, 5], dcon=lower(3))
-    return _finish(F, "order5-quaternary", f"a+a^2!=0, delta={delta}", arg,
-                   [1, 2, 3, 5], dcon=lower(6 + delta))
+        return f"a=1, delta(1)={delta}", [2, 3, 5], lower(3)
+    return f"a+a^2!=0, delta={delta}", [1, 2, 3, 5], lower(6 + delta)
 
 
-def _predict_order5_char2(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3, 4, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1, 1])
-    delta = F.delta(arg)
+def _order5_char2(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
-        return _finish(F, "order5-char2", f"a=0, delta(1)={delta}", arg,
-                       [1, 4, 5], dcon=lower(3 + delta))
-    if arg == ZERO:  # 1 + a + a^2 = 0
-        return _finish(F, "order5-char2", "1+a+a^2=0", arg, [2, 3, 4, 5],
-                       dcon=lower(5))
-    return _finish(F, "order5-char2", f"a+a^2+a^3!=0, delta={delta}", arg,
-                   [1, 2, 3, 4, 5], dcon=lower(6 + delta))
+        return f"a=0, delta(1)={delta}", [1, 4, 5], lower(3 + delta)
+    if _poly_in_a(F, a, [1, 1, 1]) == ZERO:  # 1 + a + a^2 = 0
+        return "1+a+a^2=0", [2, 3, 4, 5], lower(5)
+    return f"a+a^2+a^3!=0, delta={delta}", [1, 2, 3, 4, 5], lower(6 + delta)
 
 
-def _predict_order5_ternary(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 4, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1, 2])  # 1 + a + 2a^2
-    delta = F.delta(arg)
-    sixth = _poly_in_a(F, a, [0, 1, 0, 0, 0, 0, -1])  # a - a^6
-    if sixth == ZERO:
-        return _finish(F, "order5-ternary", f"a-a^6=0, delta={delta}", arg,
-                       [2, 4, 5], dcon=lower(4))
-    return _finish(F, "order5-ternary", f"a-a^6!=0, delta={delta}", arg,
-                   [1, 2, 4, 5], dcon=lower(7 + delta))
+def _order5_ternary(F: Field, h: int, a: int, delta: int):
+    if _poly_in_a(F, a, [0, 1, 0, 0, 0, 0, -1]) == ZERO:  # a - a^6 = 0
+        return f"a-a^6=0, delta={delta}", [2, 4, 5], lower(4)
+    return f"a-a^6!=0, delta={delta}", [1, 2, 4, 5], lower(7 + delta)
 
 
-def _predict_order5_char3(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3, 4, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, 1, 2])  # 1 + a + 2a^2
-    delta = F.delta(arg)
+def _order5_char3(F: Field, h: int, a: int, delta: int):
     if _poly_in_a(F, a, [1, 1]) == ZERO:  # a = -1
-        return _finish(F, "order5-char3", f"a=-1, delta(1)={delta}", arg,
-                       [1, 2, 4, 5], dcon=lower(3 + delta))
+        return f"a=-1, delta(1)={delta}", [1, 2, 4, 5], lower(3 + delta)
     if _poly_in_a(F, a, [1, 0, 1]) == ZERO:  # a^2 = -1
         # zeros alpha^2..alpha^5 give d >= 5; alpha^0 does not extend the
         # run (STMT-ORDER5-CHAR3-D)
-        return _finish(F, "order5-char3", f"a^2=-1, delta(a-1)={delta}", arg,
-                       [2, 3, 4, 5], dcon=lower(5))
-    return _finish(F, "order5-char3", f"(a+1)(a^2+1)!=0, delta={delta}", arg,
-                   [1, 2, 3, 4, 5], dcon=lower(6 + delta))
+        return f"a^2=-1, delta(a-1)={delta}", [2, 3, 4, 5], lower(5)
+    return (f"(a+1)(a^2+1)!=0, delta={delta}", [1, 2, 3, 4, 5],
+            lower(6 + delta))
 
 
-def _predict_order5_large(F: Field, spec: DicksonSpec) -> PredictedCode:
-    _guarded(F, [1, 2, 3, 4, 5])
-    a = spec.a
-    arg = _poly_in_a(F, a, [1, -5, 5])  # 1 - 5a + 5a^2
-    delta = F.delta(arg)
+def _order5_large(F: Field, h: int, a: int, delta: int):
     if a == F.scalar(2):
-        return _finish(F, "order5-large-char", f"a=2, delta={delta}", arg,
-                       [1, 2, 4, 5], dcon=lower(3 + delta))
+        return f"a=2, delta={delta}", [1, 2, 4, 5], lower(3 + delta)
     if a == F.div(F.scalar(2), F.scalar(3)):
         # runs {3,4,5} and {0,1}: alpha^0 does not extend (STMT-ORDER5-LARGE-D)
-        return _finish(F, "order5-large-char", f"a=2/3, delta={delta}", arg,
-                       [1, 3, 4, 5], dcon=lower(4))
+        return f"a=2/3, delta={delta}", [1, 3, 4, 5], lower(4)
     if _poly_in_a(F, a, [1, -3, 1]) == ZERO:  # a^2 - 3a + 1 = 0
-        return _finish(F, "order5-large-char", f"a^2-3a+1=0, delta={delta}", arg,
-                       [2, 3, 4, 5], dcon=lower(5))
-    return _finish(F, "order5-large-char", f"a generic, delta={delta}", arg,
-                   [1, 2, 3, 4, 5], dcon=lower(6 + delta))
+        return f"a^2-3a+1=0, delta={delta}", [2, 3, 4, 5], lower(5)
+    return f"a generic, delta={delta}", [1, 2, 3, 4, 5], lower(6 + delta)
+
+
+#: One entry per statement; the regimes are pairwise disjoint.
+_STATEMENTS = (
+    _Statement("prime-power", lambda p, t, q, h: _is_p_power(h, p),
+               None, (1,), _prime_power),
+    _Statement("order2", lambda p, t, q, h: h == 2 and p > 2,
+               (1, 2), (1, -2), _order2),
+    _Statement("order3-binary", lambda p, t, q, h: h == 3 and q == 2,
+               (1, 3), (1, 1), _order3_binary),
+    _Statement("order3-general",
+               lambda p, t, q, h: h == 3 and (p >= 5 or (p == 2 and t >= 2)),
+               (1, 2, 3), (1, -3), _order3_general),
+    _Statement("order4-ternary", lambda p, t, q, h: h == 4 and q == 3,
+               (1, 2, 4), (1, -1, -1), _order4_ternary),
+    _Statement("order4-general",
+               lambda p, t, q, h: h == 4 and (p >= 5 or (p == 3 and t >= 2)),
+               (1, 2, 3, 4), (1, -4, 2), _order4_general),
+    _Statement("order5-binary", lambda p, t, q, h: h == 5 and q == 2,
+               (1, 3, 5), (1, 1, 1), _order5_binary),  # Tr(1+a+a^2) = Tr(1)
+    _Statement("order5-quaternary", lambda p, t, q, h: h == 5 and q == 4,
+               (1, 2, 3, 5), (1, 1, 1), _order5_quaternary),
+    _Statement("order5-char2",
+               lambda p, t, q, h: h == 5 and p == 2 and t >= 3,
+               (1, 2, 3, 4, 5), (1, 1, 1), _order5_char2),
+    _Statement("order5-ternary", lambda p, t, q, h: h == 5 and q == 3,
+               (1, 2, 4, 5), (1, 1, 2), _order5_ternary),
+    _Statement("order5-char3",
+               lambda p, t, q, h: h == 5 and p == 3 and t >= 2,
+               (1, 2, 3, 4, 5), (1, 1, 2), _order5_char3),
+    _Statement("order5-large-char", lambda p, t, q, h: h == 5 and p >= 7,
+               (1, 2, 3, 4, 5), (1, -5, 5), _order5_large),
+)
+
+
+def predict(spec: DicksonSpec, F: Field) -> PredictedCode:
+    """Predicted generator, dimension and distance constraint.
+
+    Raises ValueError when a or the offset is not an element of F, and
+    NoTheoremApplies outside the implemented first-kind regimes (order
+    p^u, 2, 3, 4, 5 with the stated characteristic splits).
+    """
+    a, offset, h = F.check(spec.a), F.check(spec.offset), spec.h
+    stmt = next((s for s in _STATEMENTS if s.regime(F.p, F.t, F.q, h)), None)
+    if spec.kind != "D" or offset != ZERO or stmt is None:
+        raise NoTheoremApplies("no theorem applies; use the generic pipeline")
+    if not _sources_ok(F, stmt.sources or (h,)):
+        raise NoTheoremApplies("coset structure outside the stated regime")
+    delta = F.delta(_poly_in_a(F, a, stmt.delta_arg))
+    case, exponents, dcon = stmt.cases(F, h, a, delta)
+    # alpha^0 = 1 is the root of x - 1
+    g = minimal_poly_product(F, [0] * delta + [-e for e in exponents])
+    return PredictedCode(theorem=stmt.theorem, case=case, generator=g,
+                         dimension=F.n - g.degree, d_constraint=dcon)
 
 
 # -- comparison ----------------------------------------------------------------

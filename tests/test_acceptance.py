@@ -19,9 +19,10 @@ from dickson_codes.galois import ZERO, artin_cubic_has_nonzero_root
 from dickson_codes.lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
 from dickson_codes.polyring import Poly
 from dickson_codes.registry import default_registry
-from dickson_codes.verify import (FLAGGED_ANOMALY, MATCH, MATCH_WITH_ERRATUM,
-                                  apply_errata, load_errata, load_table,
-                                  run_table, sweep_field)
+from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
+                                  MATCH_WITH_ERRATUM, apply_errata,
+                                  load_errata, load_table, run_table,
+                                  sweep_field)
 
 REG = default_registry()
 
@@ -134,7 +135,7 @@ def test_criterion_5_table6(reports):
 
 def test_criterion_6_theorem_sweep():
     t0 = time.perf_counter()
-    total = 0
+    total, theorems = 0, set()
     for q, m in REG.pairs():
         F = REG.field(q, m)
         if F.n > 127 or F.n < 2:
@@ -144,8 +145,10 @@ def test_criterion_6_theorem_sweep():
             for a, rep in results:
                 assert rep.generator_match and rep.dimension_match, \
                     (q, m, h, a, rep.theorem, rep.case)
+                theorems.add(rep.theorem)
             total += len(results)
     assert total > 3000  # every regime instance, whole-field sweeps
+    assert theorems == {s.theorem for s in _STATEMENTS}
     _passline(6, f"theorem sweep: {total} cases agree "
                  f"({time.perf_counter() - t0:.1f}s)")
 

@@ -8,6 +8,8 @@ import pytest
 
 from dickson_codes import cli, cyclic
 from dickson_codes.cli import main
+from dickson_codes.galois import InternalError
+from dickson_codes.polyring import Poly
 from dickson_codes.registry import UnknownEntryError
 from dickson_codes.verify import table_distance_config
 
@@ -234,6 +236,19 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "run_table", broken)
     with pytest.raises(KeyError):
         main(["table", "--id", "E"])
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    dft = cyclic.minimal_poly_dft
+
+    def skewed(s):  # the two minimal polynomials now disagree
+        res = dft(s)
+        return dataclasses.replace(res, poly=res.poly * Poly.x(s.field))
+
+    monkeypatch.setattr(cyclic, "minimal_poly_dft", skewed)
+    with pytest.raises(InternalError, match="disagree"):
+        main(["code", "--q", "2", "--m", "4", "--kind", "D", "--order", "3",
+              "--a", "1"])
 
 
 def test_missing_registry_file_exits_2(capsys, tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   _colex_array, _exhaustive_distance,
                                   _key_table, _lane_bits, _mitm_sides,
-                                  _MitmInfeasible, _pair_weights,
+                                  _pair_weights,
                                   _pinned_blocks, _rref_codes,
                                   _rref_via_parity, _side_keys,
                                   _WitnessSearch, bch_lower_bound,
@@ -20,7 +20,7 @@ from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   even_like_subcode, minimum_distance,
                                   parity_matrix_from_roots, weight_distribution)
 from dickson_codes.dickson import DicksonSpec
-from dickson_codes.galois import ZERO
+from dickson_codes.galois import InternalError, ZERO
 from dickson_codes.lfsr import PeriodicSequence, defining_sequence
 from dickson_codes.polyring import (Poly, factor_xn_minus_1,
                                     minimal_polynomial, reciprocal)
@@ -555,7 +555,7 @@ def test_isd_rank_loss_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(cyclic, "_rref_via_parity", lossy)
     code = build(2, 5, "D", 3, "1")
     assert code.n - code.k < code.k
-    with pytest.raises(AssertionError, match="information set"):
+    with pytest.raises(InternalError, match="information set"):
         _WitnessSearch(code, DistanceConfig()).run(1)
 
 
@@ -664,7 +664,7 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
 
     swept = []
 
-    def empty_level(code, H, w, cfg):
+    def empty_level(code, table, w):
         swept.append(w)
         return None
 
@@ -681,15 +681,19 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
     assert not _levels_within_budget(ham, 3, 8)
 
 
-def test_infeasible_mitm_level_falls_back_to_enumeration(monkeypatch):
-    from dickson_codes import cyclic
-
-    def infeasible(code, H, w, cfg):
-        raise _MitmInfeasible("forced")
-
+def test_infeasible_mitm_level_falls_back_to_enumeration():
+    # level 3 of the [15, 11] Hamming code has 14 keys a side
     ham = _binary_15(HAMMING)
     assert minimum_distance(ham).method == "mitm"
-    monkeypatch.setattr(cyclic, "_mitm_level", infeasible)
-    d = minimum_distance(ham)
+    d = minimum_distance(ham, DistanceConfig(mitm_side_limit=10))
     assert (d.method, d.value, d.witness) == ("exhaustive",
                                               *_exhaustive_distance(ham))
+
+
+def test_search_past_every_budget_ends_unresolved():
+    ham = _binary_15(HAMMING)
+    cfg = DistanceConfig(full_enum_limit=1, isd_iterations=0,
+                         mitm_side_limit=10)
+    d = minimum_distance(ham, cfg)
+    assert (d.method, d.exact, d.value) == ("bch-only", False, 3)
+    assert d.value == d.bch_bound == bch_lower_bound(ham)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from dickson_codes.dickson import (DicksonSpec, dickson_first,
                                    dickson_first_recurrence, dickson_poly,
                                    dickson_second, dickson_second_recurrence,
@@ -125,3 +127,12 @@ def test_offset_variants():
     assert dickson_poly(spec, f) == (dickson_poly(base, f)
                                      + Poly(f, (f.neg(f.one),)))
     assert "D_2" in spec.label(f)
+
+
+def test_dickson_poly_rejects_logs_outside_the_field():
+    f = REG.field(4, 3)
+    for bad in (f.n, -7):
+        for spec in (DicksonSpec(kind="D", h=3, a=bad),
+                     DicksonSpec(kind="E", h=3, a=f.one, offset=bad)):
+            with pytest.raises(ValueError, match="not an element log"):
+                dickson_poly(spec, f)

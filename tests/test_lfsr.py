@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dickson_codes.dickson import DicksonSpec, dickson_poly
-from dickson_codes.galois import ZERO
+from dickson_codes.galois import InternalError, ZERO
 from dickson_codes import _codes
 from dickson_codes.lfsr import (PeriodicSequence, _check_recurrence,
                                 defining_sequence, minimal_poly_dft,
@@ -144,9 +144,11 @@ def test_sequence_validation():
     with pytest.raises(ValueError):
         PeriodicSequence(field=f, values=(ZERO,) * 6)  # wrong length
     f16 = REG.field(4, 2)
-    with pytest.raises(ValueError):
-        # log 1 = alpha is outside GF(4) inside GF(16)
-        PeriodicSequence(field=f16, values=(1,) * 15)
+    # log 1 = alpha is outside GF(4) inside GF(16); 15 and -5 are multiples
+    # of the subfield step 5 but not element logs
+    for bad in (1, 15, -2, -5):
+        with pytest.raises(ValueError, match="subfield"):
+            PeriodicSequence(field=f16, values=(bad,) + (ZERO,) * 14)
 
 
 def test_symbol_string_and_sequence_poly():
@@ -222,5 +224,5 @@ def test_recurrence_check_rejects_a_proper_divisor():
     factor = minimal_polynomial(f, f.inv(f.alpha))
     part, rem = divmod(m, factor)
     assert rem.is_zero() and part.degree > 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalError):
         _check_recurrence(s_codes, _codes.poly_to_codes(part, st), st)

@@ -7,9 +7,10 @@ from dickson_codes.dickson import DicksonSpec
 from dickson_codes.galois import ZERO
 from dickson_codes.lfsr import defining_sequence
 from dickson_codes.registry import default_registry
-from dickson_codes.verify import (FLAGGED_ANOMALY, MATCH, MATCH_WITH_ERRATUM,
-                                  MISMATCH, NoTheoremApplies, apply_errata,
-                                  compare, load_errata, load_table, predict,
+from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
+                                  MATCH_WITH_ERRATUM, MISMATCH,
+                                  NoTheoremApplies, apply_errata, compare,
+                                  load_errata, load_table, predict,
                                   process_row, run_table, sweep_field)
 
 REG = default_registry()
@@ -54,6 +55,26 @@ def test_predict_out_of_regime():
     with pytest.raises(NoTheoremApplies):
         # offset variants have no stated parameters
         predict(DicksonSpec(kind="D", h=2, a=F.one, offset=F.one), F)
+
+
+def test_predict_rejects_logs_outside_the_field():
+    # a = n would be read as alpha^n = 1, a = -7 as alpha^(n-7)
+    F = REG.field(4, 3)
+    for bad in (F.n, -7):
+        for spec in (DicksonSpec(kind="D", h=3, a=bad),
+                     DicksonSpec(kind="D", h=3, a=F.one, offset=bad)):
+            with pytest.raises(ValueError, match="not an element log"):
+                predict(spec, F)
+
+
+def test_statement_regimes_are_disjoint():
+    # at most one statement applies, so their order cannot change a
+    # prediction
+    subfields = {(e.spec.p, e.spec.t, e.q) for e in REG.entries.values()}
+    for p, t, q in subfields:
+        for h in range(9):
+            hits = [s.theorem for s in _STATEMENTS if s.regime(p, t, q, h)]
+            assert len(hits) <= 1, (p, t, q, h, hits)
 
 
 def test_compare_flags_mismatch():
