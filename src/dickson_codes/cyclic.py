@@ -20,17 +20,23 @@ Distance strategy, in order:
 * **mitm** - otherwise weights w are swept upward from the BCH lower
   bound, so a level that completes without a match raises the certified
   bound to w + 1, and the first match is exact.  Each level is a
-  meet-in-the-middle match over syndromes of a pinned split: some cyclic
-  shift of every weight-w codeword, scaled, has coordinate 0 equal to 1,
-  so side A is position 0 with coefficient 1 plus ceil(w/2) - 1 positions
-  of 1..n-1 and side B is floor(w/2) positions of 1..n-1.  Only matches
-  with every A position below every B position are kept, so each is a
-  distinct weight-w codeword; the witness is the lexicographically
-  smallest of their shifts and multiples, checked once, which is the
-  witness enumeration would return.  Keys are syndromes packed one GF(p)
-  digit to a lane of 1 (p = 2) or ceil(log2(2p - 1)) bits, in as many
-  64-bit words as they need; one lane-wise kernel sums them for every q.
-  Sides are joined on word 0, and candidate pairs confirmed on the rest.
+  meet-in-the-middle match over syndromes of a pinned split.  The w zero
+  gaps of a weight-w word sum to n - w, so the largest is at least
+  floor((n - 1) / w) long; some cyclic shift of every weight-w codeword,
+  scaled, has that gap just before coordinate 0 and coordinate 0 equal to
+  1, which puts its other positions in 1..span, span = n - 1 -
+  floor((n - 1) / w).  Side A is position 0 with coefficient 1 plus
+  ceil(w/2) - 1 positions of 1..span and side B is floor(w/2) positions
+  of 1..span.  Only matches with every A position below every B position
+  are kept, so each is a distinct weight-w codeword; the witness is the
+  lexicographically smallest of their shifts and multiples, checked once,
+  which is the witness enumeration would return.  Keys are syndromes
+  packed one GF(p) digit to a lane of 1 (p = 2) or ceil(log2(2p - 1))
+  bits, in as many 64-bit words as they need; one lane-wise kernel sums
+  them for every q.  Sides are joined on word 0: A's keys alone are
+  sorted, B's are screened by a bloom filter and a binary search, and
+  only for the B keys that matched are the A entries looked up; candidate
+  pairs are then confirmed on the other words.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -44,9 +50,13 @@ Distance strategy, in order:
   n - k rows, scanning from the right, instead of the generator's k rows:
   by matroid duality its check columns are the complement of the
   generator's information set, so the systematic generator is the same.
-  Single rows and every pair R[i] + c * R[j] are scored; the pairs'
-  weights come from one contraction of one-hot encodings of the
-  non-pivot columns, counting where P[i] equals -c * P[j].
+  Single rows and every pair R[i] + c * R[j] are scored.  The search
+  stops at a proven floor (the BCH bound or completed MITM levels), so
+  when a single row already weighs the floor no pair can beat it and the
+  pairs are not scored.  The pairs' weights count where the non-pivot
+  parts P[i] and -c * P[j] differ: codes are packed as ceil(log2 q) bit
+  planes of 64-bit words, and the count is the popcount of the planes'
+  XORs, ORed together.
 
 Every codeword any search reports is re-verified against the generator
 polynomial before it is believed.
@@ -336,12 +346,21 @@ def weight_distribution(code: CyclicCode,
 # -- meet-in-the-middle syndrome search ---------------------------------------
 
 
+def _mitm_span(n: int, w: int) -> int:
+    """Last position a weight-w split draws from: the w zero gaps of a
+    weight-w word sum to n - w, so the largest is at least
+    ceil((n - w) / w) = floor((n - 1) / w) long, and the shift that puts
+    it just before coordinate 0 keeps the other positions in 1..span."""
+    return n - 1 - (n - 1) // w
+
+
 def _mitm_sides(n: int, q: int, w: int) -> tuple[int, int]:
     """Key counts of sides A and B of the pinned split at weight w."""
     w1, w2 = (w + 1) // 2, w // 2
-    # side A pins coordinate 0 to 1; both sides draw the rest from 1..n-1
-    return (math.comb(n - 1, w1 - 1) * (q - 1) ** (w1 - 1),
-            math.comb(n - 1, w2) * (q - 1) ** w2)
+    span = _mitm_span(n, w)
+    # side A pins coordinate 0 to 1; both sides draw the rest from 1..span
+    return (math.comb(span, w1 - 1) * (q - 1) ** (w1 - 1),
+            math.comb(span, w2) * (q - 1) ** w2)
 
 
 def _coeff_grid(q: int, slots: int, pin_first: bool) -> np.ndarray:
@@ -430,14 +449,19 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     exists.  A key match puts the sum of the two sides
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
+
+    Both sides draw from 1..``_mitm_span(n, w)``.  The join sorts A's keys
+    alone; which A entries carry a matched key is looked up only after the
+    probe, for the B keys that really matched.
     """
     st = code.field.subfield_tables()
     q, n, p = code.q, code.n, st.p
     w1, w2 = (w + 1) // 2, w // 2
+    span = _mitm_span(n, w)
 
-    rest = _colex_array(n - 1, w1 - 1) + 1
+    rest = _colex_array(span, w1 - 1) + 1
     pos_a = np.hstack([np.zeros((len(rest), 1), dtype=rest.dtype), rest])
-    pos_b = _colex_array(n - 1, w2) + 1
+    pos_b = _colex_array(span, w2) + 1
     coeff_a = _coeff_grid(q, w1, pin_first=True)
     coeff_b = _coeff_grid(q, w2, pin_first=False)
     Ka, Kb = len(coeff_a), len(coeff_b)
@@ -451,11 +475,10 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
                               coeffs[None], p)
             yield lo, keys.reshape(-1)
 
-    # A is never the larger side: materialize it, sorted by key; its keys
-    # are negated syndromes, so a match means the two sides sum to zero
+    # A is never the larger side: materialize it; its keys are negated
+    # syndromes, so a match means the two sides sum to zero
     keys_a = np.concatenate([k for _, k in key_chunks(pos_a, st.neg[coeff_a])])
-    order = np.argsort(keys_a)
-    keys_sorted = keys_a[order]
+    keys_sorted = np.sort(keys_a)
 
     # one-hash bloom filter sized to A: screens out almost every probe key
     # before the binary search, which dominates otherwise
@@ -463,36 +486,41 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     bloom = np.zeros(1 << bloom_bits, dtype=bool)
     bloom[_bloom_addr(keys_sorted, bloom_bits)] = True
 
-    found = []
+    hits_b, hit_keys = [], []
     for lo, keys_b in key_chunks(pos_b, coeff_b):
         maybe = np.flatnonzero(bloom[_bloom_addr(keys_b, bloom_bits)])
         probe = keys_b[maybe]
-        left = np.searchsorted(keys_sorted, probe, side="left")
-        # most bloom survivors are false positives: drop them before the
-        # second search
+        left = np.searchsorted(keys_sorted, probe)
+        # most bloom survivors are false positives
         real = keys_sorted[np.minimum(left, len(keys_sorted) - 1)] == probe
-        maybe, left = maybe[real], left[real]
-        counts = np.searchsorted(keys_sorted, probe[real], side="right") - left
-        # one entry per (A, B) pair matching on word 0
-        bi = np.repeat(maybe, counts) + lo * Kb
-        ai = order[np.repeat(left - np.cumsum(counts) + counts, counts)
-                   + np.arange(counts.sum())]
-        sa, sb = pos_a[ai // Ka], pos_b[bi // Kb]
-        ca, cb = coeff_a[ai % Ka], coeff_b[bi % Kb]
-        keep = sa[:, -1] < sb[:, 0]
-        if table.shape[2] > 1:  # confirm the pairs on every word
-            keep &= (_side_keys(table, sa, st.neg[ca], p)
-                     == _side_keys(table, sb, cb, p)).all(axis=1)
-        if not keep.any():
-            continue
-        words = np.zeros((int(keep.sum()), n), dtype=np.uint8)
-        rows = np.arange(len(words))[:, None]
-        words[rows, sa[keep]] = ca[keep]
-        words[rows, sb[keep]] = cb[keep]
-        found.append(words)
-    if not found:
+        hits_b.append(maybe[real] + lo * Kb)
+        hit_keys.append(probe[real])
+    matched = np.concatenate(hit_keys)
+    if not len(matched):
         return None
-    witness = _smallest_shift(np.concatenate(found), st)
+    # the A entries of the matched keys, grouped by key: one entry per
+    # (A, B) pair matching on word 0
+    ai = np.flatnonzero(np.isin(keys_a, matched))
+    ai = ai[np.argsort(keys_a[ai])]
+    grouped = keys_a[ai]
+    left = np.searchsorted(grouped, matched, side="left")
+    counts = np.searchsorted(grouped, matched, side="right") - left
+    bi = np.repeat(np.concatenate(hits_b), counts)
+    ai = ai[np.repeat(left - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum())]
+    sa, sb = pos_a[ai // Ka], pos_b[bi // Kb]
+    ca, cb = coeff_a[ai % Ka], coeff_b[bi % Kb]
+    keep = sa[:, -1] < sb[:, 0]
+    if table.shape[2] > 1:  # confirm the pairs on every word
+        keep &= (_side_keys(table, sa, st.neg[ca], p)
+                 == _side_keys(table, sb, cb, p)).all(axis=1)
+    if not keep.any():
+        return None
+    words = np.zeros((int(keep.sum()), n), dtype=np.uint8)
+    rows = np.arange(len(words))[:, None]
+    words[rows, sa[keep]] = ca[keep]
+    words[rows, sb[keep]] = cb[keep]
+    witness = _smallest_shift(words, st)
     vec = np.array(witness, dtype=np.uint8)
     if int(np.count_nonzero(vec)) != w or not code.contains(vec):
         raise InternalError("meet-in-the-middle produced a non-codeword")
@@ -565,6 +593,7 @@ def _rref_codes(M: np.ndarray, st: SubfieldTables):
     """Reduced row echelon form over GF(q) codes; returns (rref, pivots)."""
     A = M.astype(np.uint8)
     rows, cols = A.shape
+    sub = st.sub.reshape(-1)  # sub[x * q + y] = x - y
     pivots = []
     r = 0
     for c in range(cols):
@@ -580,8 +609,10 @@ def _rref_codes(M: np.ndarray, st: SubfieldTables):
         other = np.nonzero(A[:, c])[0]
         other = other[other != r]
         if len(other):
-            A[other] = st.sub[A[other],
-                              st.mul[A[other, c][:, None], A[r][None, :]]]
+            multiples = st.mul[:, A[r]]  # multiples[x] = x * A[r]
+            rest = A[other]
+            A[other] = sub[rest.astype(np.intp) * st.q
+                           + multiples[rest[:, c]]]
         pivots.append(c)
         r += 1
     return A[:r], pivots
@@ -640,14 +671,18 @@ class _WitnessSearch:
         """Draw information sets until the best weight is at most
         ``stop_at``, ``stall`` sets of this run bring no improvement, or
         ``cfg.isd_iterations`` sets have been used in all.  Returns the
-        best (weight, codeword) so far, or None."""
+        best (weight, codeword) so far, or None.
+
+        ``stop_at`` is a proven lower bound on the distance (the BCH bound
+        or completed MITM levels), so a word of that weight is a minimum
+        one and no pair of its set can beat it."""
         code, st = self.code, self.code.field.subfield_tables()
         since_improved = 0
         while (self.sets < self.cfg.isd_iterations
                and (self.best_w is None or self.best_w > stop_at)
                and (stall is None or since_improved < stall)):
             prev_best = self.best_w
-            self._draw(st)
+            self._draw(st, stop_at)
             self.sets += 1
             since_improved = (0 if self.best_w != prev_best
                               else since_improved + 1)
@@ -658,9 +693,10 @@ class _WitnessSearch:
             raise InternalError("witness search produced a non-codeword")
         return self.best_w, _normalize_witness(self.best_c, st)
 
-    def _draw(self, st: SubfieldTables) -> None:
-        """Reduce one random information set; score its single rows and
-        every row pair with a free scalar on the second row."""
+    def _draw(self, st: SubfieldTables, floor: int) -> None:
+        """Reduce one random information set; score its single rows and,
+        unless one of them already weighs ``floor``, every row pair with a
+        free scalar on the second row."""
         n, k = self.code.n, self.code.k
         perm = self.rng.permutation(n)
         R, pivots = (_rref_via_parity(self.M, perm, st) if self.via_parity
@@ -674,18 +710,19 @@ class _WitnessSearch:
         i = int(np.argmin(weights))
         if weights[i] < best_w:
             best_w, best_c = int(weights[i]), _unpermute(R[i], perm, n)
-        nonpiv = np.ones(n, dtype=bool)
-        nonpiv[pivots] = False
-        scalars = np.arange(1, st.q, dtype=np.uint8)
-        for c, pw in zip(scalars, _pair_weights(R[:, nonpiv], st)):
-            np.fill_diagonal(pw, n + 10)
-            j = int(np.argmin(pw))
-            i0, j0 = divmod(j, k)
-            if i0 != j0 and pw[i0, j0] < best_w:
-                full = st.add[R[i0], st.mul[c, R[j0]]]
-                wfull = int(np.count_nonzero(full))
-                if wfull < best_w:
-                    best_w, best_c = wfull, _unpermute(full, perm, n)
+        if best_w > floor:  # else the row is a minimum word: no pair beats it
+            nonpiv = np.ones(n, dtype=bool)
+            nonpiv[pivots] = False
+            scalars = np.arange(1, st.q, dtype=np.uint8)
+            for c, pw in zip(scalars, _pair_weights(R[:, nonpiv], st)):
+                np.fill_diagonal(pw, n + 10)
+                j = int(np.argmin(pw))
+                i0, j0 = divmod(j, k)
+                if i0 != j0 and pw[i0, j0] < best_w:
+                    full = st.add[R[i0], st.mul[c, R[j0]]]
+                    wfull = int(np.count_nonzero(full))
+                    if wfull < best_w:
+                        best_w, best_c = wfull, _unpermute(full, perm, n)
         self.best_w, self.best_c = best_w, best_c
 
 
@@ -694,23 +731,30 @@ def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
     non-pivot part P (k x L), as an array [c - 1, i, j]: 2 for the pivots
     plus the nonzero count of P[i] + c * P[j].
 
-    That sum vanishes at l iff P[i, l] = -c * P[j, l], so the count is L
-    minus the agreements, and every (i, c, j) agreement comes out of one
-    contraction of one-hot encodings.  float32 counts are exact here, and
-    einsum without ``optimize`` runs its own loop rather than BLAS threads.
+    That sum is nonzero at l iff P[i, l] != -c * P[j, l].  Each code's
+    ceil(log2 q) bits are packed as bit planes, 64 columns to a word; two
+    codes differ where any plane differs, so the count is the popcount of
+    the planes' XORs, ORed together.
     """
     k, L = P.shape
     q = st.q
-
-    def onehot(M):  # (rows, L) codes -> (rows, L * q) indicators
-        hot = M[:, :, None] == np.arange(q)
-        return hot.reshape(len(M), L * q).astype(np.float32)
-
     scalars = np.arange(1, q)[:, None, None]
     # row (c - 1) * k + j is -c * P[j]
     neg = st.neg[st.mul[scalars, P]].reshape((q - 1) * k, L)
-    agree = np.einsum("ik,jk->ij", onehot(P), onehot(neg)).astype(np.intp)
-    return L + 2 - agree.reshape(k, q - 1, k).transpose(1, 0, 2)
+    b = (q - 1).bit_length()
+    shifts = np.arange(b, dtype=np.uint8)[:, None, None]
+
+    def planes(M):  # (rows, L) codes -> (b, rows, words) uint64
+        bits = np.zeros((b, len(M), L + -L % 64), dtype=np.uint8)
+        bits[:, :, :L] = M >> shifts & 1
+        return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+
+    mine, theirs = planes(P), planes(neg)
+    differ = mine[0][:, None] ^ theirs[0][None]
+    for x, y in zip(mine[1:], theirs[1:]):
+        differ |= x[:, None] ^ y[None]
+    count = np.bitwise_count(differ).sum(axis=2, dtype=np.intp)
+    return 2 + count.reshape(k, q - 1, k).transpose(1, 0, 2)
 
 
 def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> tuple[int, ...]:

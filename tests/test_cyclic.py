@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from dickson_codes import verify
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   _colex_array, _exhaustive_distance,
                                   _key_table, _lane_bits, _mitm_sides,
-                                  _pair_weights,
+                                  _mitm_span, _pair_weights,
                                   _pinned_blocks, _rref_codes,
                                   _rref_via_parity, _side_keys,
                                   _WitnessSearch, bch_lower_bound,
@@ -412,6 +413,24 @@ def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
         assert mitm.exact
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+def test_minimum_words_shift_into_the_mitm_window(code):
+    # the split's positions 1.._mitm_span(n, w) reach a shift and multiple
+    # of every minimum-weight codeword
+    st = code.field.subfield_tables()
+    words = np.concatenate(list(codeword_blocks(code)))
+    weights = np.count_nonzero(words, axis=1)
+    w = int(weights[weights > 0].min())
+    span = _mitm_span(code.n, w)
+    for word in words[weights == w]:
+        pinned = []
+        for s in np.flatnonzero(word):
+            shifted = np.roll(word, -s)  # coordinate s moves to 0
+            pinned.append(st.mul[st.inv[shifted[0]], shifted])
+        assert any(c[0] == 1 and not c[span + 1 :].any() for c in pinned)
+
+
 def _divisor_code(q, m, cofactor):
     """The cyclic code whose parity polynomial is the given factor of
     x^n - 1 (coefficients from the constant term up): k = its degree."""
@@ -608,11 +627,15 @@ def test_resumed_witness_search_equals_a_fresh_one(code):
 
 @pytest.mark.parametrize("q", DIFF_QS)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(k=hst.integers(1, 12), L=hst.integers(0, 20),
+@given(k=hst.integers(1, 12), L=hst.integers(0, 140),
        seed=hst.integers(0, 2**32 - 1))
 @example(k=1, L=1, seed=0)
 @example(k=1, L=7, seed=1)
 @example(k=6, L=1, seed=2)
+@example(k=5, L=64, seed=3)  # bit planes of one 64-bit word, full
+@example(k=5, L=65, seed=4)  # two words
+@example(k=7, L=128, seed=5)
+@example(k=7, L=129, seed=6)  # three words
 def test_pair_weights_match_table_count(q, k, L, seed):
     m = min(m for p, m in REG.pairs() if p == q)
     st = REG.field(q, m).subfield_tables()
@@ -622,6 +645,32 @@ def test_pair_weights_match_table_count(q, k, L, seed):
     for c in range(1, q):
         comb = st.add[P[:, None, :], st.mul[c, P][None, :, :]]
         assert np.array_equal(pws[c - 1], np.count_nonzero(comb, axis=2) + 2)
+
+
+def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
+    from dickson_codes import cyclic
+
+    calls = []
+
+    def counting(P, st):
+        calls.append(P.shape)
+        return _pair_weights(P, st)
+
+    monkeypatch.setattr(cyclic, "_pair_weights", counting)
+    code = build(3, 3, "D", 2, "alpha^2")  # row D2/4: [26, 19, 5]_3
+    lb = bch_lower_bound(code)
+    search = _WitnessSearch(code, DistanceConfig())
+    # a row of the first set already weighs the BCH bound
+    assert search.run(lb, stall=ISD_STALL)[0] == lb == 5
+    assert (search.sets, calls) == (1, [])
+    d = minimum_distance(code, verify.table_distance_config("D2"))
+    assert (d.value, d.method, d.witness) == (
+        5, "bch+witness",
+        (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2) + (0,) * 11)
+    assert calls == []
+    # below the floor the same set scores its pairs
+    _WitnessSearch(code, DistanceConfig()).run(lb - 1, stall=ISD_STALL)
+    assert calls
 
 
 def _levels_within_budget(code, lb, d):
@@ -674,18 +723,19 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
     d = minimum_distance(ham)
     assert (d.method, d.value, d.witness) == ("exhaustive",
                                               *_exhaustive_distance(ham))
-    # levels 3..7 hold 28 + 105 + 182 + 455 + 728 = 1498 keys; level 8
-    # would bring 1365 more, past q^k = 2048
-    assert swept == [3, 4, 5, 6, 7]
-    assert _levels_within_budget(ham, 3, 7)
-    assert not _levels_within_budget(ham, 3, 8)
+    # levels 3..8 hold 10+10 + 11+55 + 66+66 + 66+220 + 220+220 + 286+715
+    # = 1945 keys; level 9 would bring 715+715 = 1430 more, past q^k = 2048
+    assert swept == [3, 4, 5, 6, 7, 8]
+    assert _levels_within_budget(ham, 3, 8)
+    assert not _levels_within_budget(ham, 3, 9)
 
 
 def test_infeasible_mitm_level_falls_back_to_enumeration():
-    # level 3 of the [15, 11] Hamming code has 14 keys a side
+    # level 3 of the [15, 11] Hamming code has 10 keys a side
     ham = _binary_15(HAMMING)
+    assert _mitm_sides(15, 2, 3) == (10, 10)
     assert minimum_distance(ham).method == "mitm"
-    d = minimum_distance(ham, DistanceConfig(mitm_side_limit=10))
+    d = minimum_distance(ham, DistanceConfig(mitm_side_limit=9))
     assert (d.method, d.value, d.witness) == ("exhaustive",
                                               *_exhaustive_distance(ham))
 
@@ -693,7 +743,7 @@ def test_infeasible_mitm_level_falls_back_to_enumeration():
 def test_search_past_every_budget_ends_unresolved():
     ham = _binary_15(HAMMING)
     cfg = DistanceConfig(full_enum_limit=1, isd_iterations=0,
-                         mitm_side_limit=10)
+                         mitm_side_limit=9)
     d = minimum_distance(ham, cfg)
     assert (d.method, d.exact, d.value) == ("bch-only", False, 3)
     assert d.value == d.bch_bound == bch_lower_bound(ham)
