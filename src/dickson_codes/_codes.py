@@ -16,10 +16,6 @@ from .galois import SubfieldTables
 from .polyring import Poly
 
 
-def poly_to_codes(poly: Poly, st: SubfieldTables) -> np.ndarray:
-    return st.codes_of_logs(poly.coeffs)
-
-
 def codes_to_poly(codes: np.ndarray, st: SubfieldTables) -> Poly:
     return Poly(st.field, st.code_to_log[codes].tolist())
 
@@ -57,6 +53,20 @@ def codes_mul(a: np.ndarray, b: np.ndarray, st: SubfieldTables) -> np.ndarray:
     size = len(a) + len(b) - 1
     conv = np.convolve(slots[a].ravel(), slots[b].ravel())[: size * w]
     return st.prod_codes[conv.reshape(size, w) % st.p @ weights]
+
+
+def cyclic_product_is_zero(a: np.ndarray, b: np.ndarray,
+                           st: SubfieldTables) -> bool:
+    """Whether a(x) b(x) = 0 mod x^n - 1, n = r - 1, for deg a + deg b < 2n.
+
+    The product is one ``codes_mul``, folded at x^n: coefficient i of the
+    cyclic product is the sum of the product's coefficients i and n + i.
+    """
+    n = st.field.n
+    folded = np.zeros(2 * n, dtype=np.uint8)
+    prod = codes_mul(a, b, st)
+    folded[: len(prod)] = prod
+    return not np.any(st.add[folded[:n], folded[n:]])
 
 
 def codes_divmod(a: np.ndarray, b: np.ndarray, st: SubfieldTables):

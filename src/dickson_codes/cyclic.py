@@ -58,8 +58,9 @@ Distance strategy, in order:
   planes of 64-bit words, and the count is the popcount of the planes'
   XORs, ORed together.
 
-Every codeword any search reports is re-verified against the generator
-polynomial before it is believed.
+Every codeword any search reports is re-verified before it is believed:
+c is a codeword exactly when c(x) h(x) = 0 mod x^n - 1, with h the parity
+polynomial.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from . import _codes
 from .dickson import DicksonSpec
 from .galois import Field, InternalError, SubfieldTables, ZERO
 from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal_poly_gcd
-from .polyring import Poly, coset_leaders, cyclotomic_coset
+from .polyring import Poly, coset_table
 
 ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
 ISD_STALL = 1  # quick witness pass: iterations allowed without improvement
@@ -123,15 +124,14 @@ class CyclicCode:
             raise ValueError("generator polynomial belongs to a different field")
         if not g.is_monic():
             raise ValueError("generator polynomial must be monic")
-        if not g.in_subfield():
-            raise ValueError("generator coefficients must lie in GF(q)")
         self.field = field
         self.n = field.n
         self.q = field.q
         self.g = g
         st = field.subfield_tables()
         xn1 = _codes.xn_minus_1(st)
-        g_codes = _codes.poly_to_codes(g, st)
+        # ValueError for any coefficient outside GF(q)
+        g_codes = st.codes_of_logs(g.coeffs)
         if h is None:
             h_codes, rem = _codes.codes_divmod(xn1, g_codes, st)
             if len(rem):
@@ -140,7 +140,7 @@ class CyclicCode:
         elif h.field is not field:
             raise ValueError("parity polynomial belongs to a different field")
         else:
-            h_codes = _codes.poly_to_codes(h, st)
+            h_codes = st.codes_of_logs(h.coeffs)
             if not np.array_equal(_codes.codes_mul(g_codes, h_codes, st), xn1):
                 raise ValueError("g * h is not x^n - 1")
         self.h, self.g_codes, self.h_codes = h, g_codes, h_codes
@@ -171,21 +171,27 @@ class CyclicCode:
         """R = {i in Z_n : g(alpha^i) = 0}, sorted.
 
         g has coefficients in GF(q), so g(b^q) = g(b)^q and R is a union of
-        q-cyclotomic cosets: g is evaluated once per coset leader.
+        q-cyclotomic cosets: g(alpha^l) = sum_k g_k alpha^(l k) is summed at
+        every coset leader l in one ``VecTables.power_sums`` call, with the
+        term exponents k taken mod n (x^n = 1 at every root of x^n - 1).
         """
-        roots = []
-        for leader in coset_leaders(self.n, self.q):
-            if self.g(leader) == ZERO:
-                roots.extend(cyclotomic_coset(self.n, self.q, leader).members)
-        return sorted(roots)
+        cosets = coset_table(self.n, self.q)
+        logs = np.array(self.g.coeffs, dtype=np.int64)
+        exps = np.flatnonzero(logs != ZERO)
+        at_leaders = self.field.vec_tables().power_sums(
+            cosets.leaders, exps % self.n, logs[exps])
+        return np.flatnonzero(at_leaders[cosets.index] == ZERO).tolist()
 
     # -- membership ----------------------------------------------------------
 
     def contains(self, codes: np.ndarray) -> bool:
-        """Whether a code-vector (length n, subfield codes) is a codeword."""
+        """Whether a code-vector (length n, subfield codes) is a codeword:
+        c = m g for some m exactly when c(x) h(x) = 0 mod x^n - 1."""
         codes = np.asarray(codes, dtype=np.uint8)
-        return len(_codes.codes_divmod(codes, self.g_codes,
-                                       self.field.subfield_tables())[1]) == 0
+        if len(codes) != self.n:
+            raise ValueError(f"word length {len(codes)} != n = {self.n}")
+        return _codes.cyclic_product_is_zero(codes, self.h_codes,
+                                             self.field.subfield_tables())
 
 
 def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
@@ -713,16 +719,15 @@ class _WitnessSearch:
         if best_w > floor:  # else the row is a minimum word: no pair beats it
             nonpiv = np.ones(n, dtype=bool)
             nonpiv[pivots] = False
-            scalars = np.arange(1, st.q, dtype=np.uint8)
-            for c, pw in zip(scalars, _pair_weights(R[:, nonpiv], st)):
-                np.fill_diagonal(pw, n + 10)
-                j = int(np.argmin(pw))
-                i0, j0 = divmod(j, k)
-                if i0 != j0 and pw[i0, j0] < best_w:
-                    full = st.add[R[i0], st.mul[c, R[j0]]]
-                    wfull = int(np.count_nonzero(full))
-                    if wfull < best_w:
-                        best_w, best_c = wfull, _unpermute(full, perm, n)
+            pw = _pair_weights(R[:, nonpiv], st)
+            diag = np.arange(k)
+            pw[:, diag, diag] = n + 1  # i = j is no pair
+            # the first minimum in (c, i, j) order: an equal weight found
+            # later never replaces the best word
+            c, i0, j0 = np.unravel_index(np.argmin(pw), pw.shape)
+            if pw[c, i0, j0] < best_w:
+                full = st.add[R[i0], st.mul[c + 1, R[j0]]]
+                best_w, best_c = int(pw[c, i0, j0]), _unpermute(full, perm, n)
         self.best_w, self.best_c = best_w, best_c
 
 
@@ -855,8 +860,8 @@ def parity_matrix_from_roots(code: CyclicCode) -> np.ndarray:
         raise InternalError("alpha^0 .. alpha^(m-1) is not a GF(q)-basis")
     coord = np.empty((n + 1, m), dtype=np.uint8)  # by log, ZERO last
     coord[x] = coeffs
-    leaders = sorted({cyclotomic_coset(n, q, i).leader
-                      for i in code.root_exponents()})
+    cosets = coset_table(n, q)
+    leaders = cosets.leaders[np.unique(cosets.index[code.root_exponents()])]
     pos = np.arange(n)
     return np.concatenate([np.zeros((0, n), np.uint8)]  # no roots: k = n
                           + [coord[j * pos % n].T for j in leaders])

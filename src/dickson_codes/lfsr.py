@@ -46,13 +46,17 @@ class PeriodicSequence:
     field: Field
     values: tuple[int, ...]
     provenance: DicksonSpec | None = dc_field(default=None, compare=False)
+    #: the values as read-only uint8 subfield codes, kept from validation
+    codes: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != self.field.n:
             raise ValueError(
                 f"sequence length {len(self.values)} != n = {self.field.n}")
         # ValueError for any value outside {ZERO} and the GF(q) subfield
-        self.field.subfield_tables().codes_of_logs(self.values)
+        codes = self.field.subfield_tables().codes_of_logs(self.values)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
@@ -112,35 +116,21 @@ def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:
     """Minimal polynomial via M = (x^n - 1)/gcd(x^n - 1, S(x)); the gcd is
     returned as the cofactor."""
     st = s.field.subfield_tables()
-    s_codes = st.codes_of_logs(s.values)
     xn1 = _codes.xn_minus_1(st)
-    g = _codes.codes_gcd(xn1, s_codes, st)
+    g = _codes.codes_gcd(xn1, s.codes, st)
     # x^n - 1 and the gcd are monic, so the quotient is too
     quot, rem = _codes.codes_divmod(xn1, g, st)
     if len(rem):
         raise InternalError("gcd does not divide x^n - 1")
     m_poly = _codes.codes_to_poly(quot, st)
     span = s.field.n - (len(g) - 1)
-    _check_recurrence(s_codes, quot, st)
+    # the recurrence from M annihilates s over a full period: the backward
+    # form sum_j m_j s_{i-j} = 0 for every i (wrap-around included) is the
+    # cyclic convolution S(x)M(x) = 0 mod x^n - 1
+    if not _codes.cyclic_product_is_zero(s.codes, quot, st):
+        raise InternalError("minimal polynomial recurrence fails on the sequence")
     return MinimalPolyResult(poly=m_poly, linear_span=span, method="gcd",
                              cofactor=_codes.codes_to_poly(g, st))
-
-
-def _check_recurrence(s_codes: np.ndarray, m_codes: np.ndarray,
-                      st) -> None:
-    """The recurrence from M must annihilate s over a full period.
-
-    With M the monic quotient (x^n-1)/gcd(x^n-1, S), the annihilation
-    identity is the cyclic convolution S(x)M(x) = 0 mod x^n - 1, i.e. the
-    backward form sum_j m_j s_{i-j} = 0 for every i (wrap-around
-    included).  All n sums come from one product S(x)M(x), folded at x^n.
-    """
-    n = len(s_codes)
-    folded = np.zeros(2 * n, dtype=np.uint8)
-    prod = _codes.codes_mul(s_codes, m_codes, st)
-    folded[: len(prod)] = prod
-    if np.any(st.add[folded[:n], folded[n:]]):
-        raise InternalError("minimal polynomial recurrence fails on the sequence")
 
 
 def spectrum(s: PeriodicSequence) -> Spectrum:

@@ -237,32 +237,30 @@ class CyclotomicCoset:
 
 
 def cyclotomic_coset(n: int, q: int, j: int) -> CyclotomicCoset:
-    """The q-cyclotomic coset of j modulo n, in iteration order."""
-    if math.gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) must be 1")
+    """The q-cyclotomic coset of j modulo n, in iteration order: j q^i
+    for i below the coset's size in ``coset_table``."""
+    table = coset_table(n, q)
     if not 0 <= j < n:
         raise ValueError(f"j={j} out of range [0, {n})")
-    members = [j]
-    k = j * q % n
-    while k != j:
-        members.append(k)
-        k = k * q % n
-    return CyclotomicCoset(leader=min(members), members=tuple(members))
+    c = table.index[j]
+    members = tuple(j * pow(q, i, n) % n for i in range(table.sizes[c]))
+    return CyclotomicCoset(leader=int(table.leaders[c]), members=members)
 
 
 @dataclass(frozen=True)
 class CosetTable:
     """The q-cyclotomic cosets modulo n as arrays.
 
-    ``leaders`` holds the coset leaders in increasing order.  For every j
-    in Z_n, ``index[j]`` is the position in ``leaders`` of the leader l of
-    j's coset, and ``power[j]`` is q^i mod n for the first i with
-    j = l * q^i mod n.
+    ``leaders`` holds the coset leaders in increasing order and ``sizes``
+    their cosets' sizes.  For every j in Z_n, ``index[j]`` is the position
+    in ``leaders`` of the leader l of j's coset, and ``power[j]`` is
+    q^i mod n for the first i with j = l * q^i mod n.
     """
 
     leaders: np.ndarray
     index: np.ndarray
     power: np.ndarray
+    sizes: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -279,6 +277,7 @@ def coset_table(n: int, q: int) -> CosetTable:
             k, pw = k * q % n, pw * q % n
         leaders.append(j)
     arrays = [np.array(v, dtype=np.int64) for v in (leaders, index, power)]
+    arrays.append(np.bincount(arrays[1], minlength=len(leaders)))
     for arr in arrays:
         arr.flags.writeable = False
     return CosetTable(*arrays)

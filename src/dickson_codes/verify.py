@@ -37,7 +37,7 @@ from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
 from .dickson import DicksonSpec
 from .galois import Field, ZERO
 from .lfsr import defining_sequence
-from .polyring import Poly, cyclotomic_coset, minimal_poly_product
+from .polyring import Poly, coset_table, minimal_poly_product
 from .registry import Registry, UnknownEntryError, default_registry
 
 TABLE_IDS = ("D1", "D2", "D3", "D4", "D5", "D7", "E", "MORE")
@@ -97,17 +97,11 @@ class PredictedCode:
 
 def _sources_ok(F: Field, exponents) -> bool:
     """Regime guard: sources nonzero mod n, distinct cosets, full size m."""
-    n = F.n
-    leaders = set()
-    for e in exponents:
-        e %= n
-        if e == 0:
-            return False
-        c = cyclotomic_coset(n, F.q, e)
-        if c.size != F.m or c.leader in leaders:
-            return False
-        leaders.add(c.leader)
-    return True
+    table = coset_table(F.n, F.q)
+    residues = [e % F.n for e in exponents]
+    cosets = table.index[residues]
+    return (0 not in residues and len(set(cosets.tolist())) == len(cosets)
+            and bool((table.sizes[cosets] == F.m).all()))
 
 
 def _is_p_power(h: int, p: int) -> bool:

@@ -79,6 +79,9 @@ def test_code_from_generator():
         CyclicCode(f, Poly.from_ints(f, [1, 0, 1]))  # not a divisor
     with pytest.raises(ValueError):
         CyclicCode(f, Poly.from_ints(f, [1, 1]).scale(ZERO))
+    # x + alpha divides x^7 - 1 over GF(8), but alpha is not in GF(2)
+    with pytest.raises(ValueError, match="subfield"):
+        CyclicCode(f, Poly(f, (f.alpha, f.one)))
 
 
 def test_bch_bound_examples():
@@ -395,6 +398,36 @@ def _non_reversible(q, m, g_ints):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), code=random_cyclic_codes())
+def test_contains_says_no_to_non_codewords(data, code):
+    F, st, n = code.field, code.field.subfield_tables(), code.n
+    symbols = hst.integers(0, code.q - 1)
+
+    def draw_word(length):
+        return np.array(data.draw(hst.lists(symbols, min_size=length,
+                                            max_size=length)), dtype=np.uint8)
+
+    def as_poly(codes):
+        return Poly(F, st.code_to_log[codes].tolist())
+
+    # m(x) g(x) as a Poly product, independent of the code-array kernels
+    cw = as_poly(draw_word(code.k)) * code.g
+    word = np.zeros(n, dtype=np.uint8)
+    word[: len(cw.coeffs)] = st.codes_of_logs(cw.coeffs)
+    assert code.contains(word)
+    if code.k < n:
+        bad = word.copy()
+        pos = data.draw(hst.integers(0, n - 1))
+        bad[pos] = st.add[bad[pos], data.draw(hst.integers(1, code.q - 1))]
+        assert not code.contains(bad)
+    rand = draw_word(n)
+    assert code.contains(rand) == (as_poly(rand) % code.g).is_zero()
+    for length in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            code.contains(np.zeros(length, dtype=np.uint8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(random_cyclic_codes())
 @example(_non_reversible(2, 3, [1, 1, 0, 1]))  # x^3 + x + 1
 @example(_non_reversible(3, 2, [2, 1, 1]))  # x^2 + x + 2
@@ -645,6 +678,35 @@ def test_pair_weights_match_table_count(q, k, L, seed):
     for c in range(1, q):
         comb = st.add[P[:, None, :], st.mul[c, P][None, :, :]]
         assert np.array_equal(pws[c - 1], np.count_nonzero(comb, axis=2) + 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes(max_n=80, max_size=None).filter(
+           lambda c: 2 <= c.k < c.n))
+def test_witness_draw_takes_the_first_lightest_pair(code):
+    # reference: the single rows, then every R[i] + c * R[j] in (c, i, j)
+    # order, each counted directly; a word replaces the best only when it
+    # is strictly lighter, so among equal pairs the first one stays
+    st, k = code.field.subfield_tables(), code.k
+    search = _WitnessSearch(code, DistanceConfig())
+    rng = np.random.default_rng()
+    rng.bit_generator.state = search.rng.bit_generator.state
+    perm = rng.permutation(code.n)
+    search._draw(st, 0)  # below every weight: the pairs are scored
+    R = _rref_codes(code.generator_matrix()[:, perm], st)[0]
+    c = np.arange(1, code.q)[:, None, None, None]
+    pairs = st.add[R[None, :, None], st.mul[c, R[None, None, :]]]
+    best_w, best = code.n + 1, None
+    for i, w in enumerate(np.count_nonzero(R, axis=1).tolist()):
+        if w < best_w:
+            best_w, best = w, R[i]
+    weights = np.count_nonzero(pairs, axis=3)
+    for (ci, i, j), w in np.ndenumerate(weights):
+        if i != j and w < best_w:
+            best_w, best = int(w), pairs[ci, i, j]
+    out = np.zeros(code.n, dtype=np.uint8)
+    out[perm] = best
+    assert (search.best_w, search.best_c) == (best_w, tuple(out.tolist()))
 
 
 def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):

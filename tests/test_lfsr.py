@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dickson_codes.dickson import DicksonSpec, dickson_poly
-from dickson_codes.galois import InternalError, ZERO
+from dickson_codes.galois import ZERO
 from dickson_codes import _codes
-from dickson_codes.lfsr import (PeriodicSequence, _check_recurrence,
-                                defining_sequence, minimal_poly_dft,
-                                minimal_poly_gcd, sequence_poly, spectrum)
+from dickson_codes.lfsr import (PeriodicSequence, defining_sequence,
+                                minimal_poly_dft, minimal_poly_gcd,
+                                sequence_poly, spectrum)
 from dickson_codes.polyring import Poly, minimal_polynomial
 from dickson_codes.registry import default_registry
 
@@ -218,11 +218,22 @@ def test_recurrence_check_rejects_a_proper_divisor():
     f = REG.field(3, 3)
     st = f.subfield_tables()
     s = defining_sequence(f, DicksonSpec(kind="D", h=4, a=f.alpha))
-    s_codes = st.codes_of_logs(s.values)
     m = minimal_poly_gcd(s).poly
-    _check_recurrence(s_codes, _codes.poly_to_codes(m, st), st)
+    assert _codes.cyclic_product_is_zero(s.codes, st.codes_of_logs(m.coeffs),
+                                         st)
     factor = minimal_polynomial(f, f.inv(f.alpha))
     part, rem = divmod(m, factor)
     assert rem.is_zero() and part.degree > 0
-    with pytest.raises(InternalError):
-        _check_recurrence(s_codes, _codes.poly_to_codes(part, st), st)
+    assert not _codes.cyclic_product_is_zero(
+        s.codes, st.codes_of_logs(part.coeffs), st)
+
+
+def test_sequence_keeps_its_codes_out_of_eq_and_hash():
+    f = REG.field(4, 2)
+    s = defining_sequence(f, DicksonSpec(kind="D", h=3, a=f.alpha))
+    assert s.codes.tolist() == f.subfield_tables().codes_of_logs(
+        s.values).tolist()
+    assert not s.codes.flags.writeable
+    again = PeriodicSequence(field=f, values=s.values)
+    assert again == s and hash(again) == hash(s)
+    assert "codes" not in repr(s)

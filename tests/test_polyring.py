@@ -225,6 +225,14 @@ def test_poly_text_format():
 DIFF_FIELDS = ((2, 4), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2))
 
 
+def orbit(n, q, j):
+    """j, jq, jq^2, ... mod n until the walk returns to j."""
+    members = [j]
+    while members[-1] * q % n != j:
+        members.append(members[-1] * q % n)
+    return members
+
+
 def test_coset_table_matches_cyclotomic_cosets():
     for q, m in DIFF_FIELDS + ((2, 7), (4, 3)):
         n = q**m - 1
@@ -232,8 +240,12 @@ def test_coset_table_matches_cyclotomic_cosets():
         assert table.leaders.tolist() == coset_leaders(n, q)
         powers = {pow(q, i, n) for i in range(m)}
         for j in range(n):
-            leader = int(table.leaders[table.index[j]])
-            assert leader == cyclotomic_coset(n, q, j).leader
+            c = table.index[j]
+            leader = int(table.leaders[c])
+            walk = orbit(n, q, j)
+            assert leader == min(walk) == cyclotomic_coset(n, q, j).leader
+            assert table.sizes[c] == len(walk)
+            assert cyclotomic_coset(n, q, j).members == tuple(walk)
             assert leader * table.power[j] % n == j
             assert table.power[j] in powers
 
@@ -257,8 +269,8 @@ def test_codes_mul_matches_poly_product(data, qm):
     sub = F.subfield_logs()
     a, b = (Poly(F, data.draw(hst.lists(hst.sampled_from(sub), max_size=30)))
             for _ in range(2))
-    got = _codes.codes_mul(_codes.poly_to_codes(a, st),
-                           _codes.poly_to_codes(b, st), st)
+    got = _codes.codes_mul(st.codes_of_logs(a.coeffs),
+                           st.codes_of_logs(b.coeffs), st)
     assert _codes.codes_to_poly(got, st) == a * b
 
 

@@ -9,9 +9,10 @@ from dickson_codes.lfsr import defining_sequence
 from dickson_codes.registry import default_registry
 from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
                                   MATCH_WITH_ERRATUM, MISMATCH,
-                                  NoTheoremApplies, apply_errata, compare,
-                                  load_errata, load_table, predict,
-                                  process_row, run_table, sweep_field)
+                                  NoTheoremApplies, _sources_ok,
+                                  apply_errata, compare, load_errata,
+                                  load_table, predict, process_row,
+                                  run_table, sweep_field)
 
 REG = default_registry()
 
@@ -75,6 +76,26 @@ def test_statement_regimes_are_disjoint():
         for h in range(9):
             hits = [s.theorem for s in _STATEMENTS if s.regime(p, t, q, h)]
             assert len(hits) <= 1, (p, t, q, h, hits)
+
+
+def test_sources_ok_matches_its_definition():
+    # sources nonzero mod n, in distinct cosets, each of size m; each coset
+    # is walked j, jq, jq^2, ... until the walk returns to j
+    def orbit(n, q, j):
+        members = [j]
+        while members[-1] * q % n != j:
+            members.append(members[-1] * q % n)
+        return members
+
+    tuples = {s.sources or (h,) for s in _STATEMENTS for h in range(9)}
+    for q, m in REG.pairs():
+        F = REG.field(q, m)
+        for sources in tuples:
+            walks = [orbit(F.n, q, e % F.n) for e in sources]
+            expected = (all(e % F.n for e in sources)
+                        and len({min(w) for w in walks}) == len(walks)
+                        and all(len(w) == m for w in walks))
+            assert _sources_ok(F, sources) == expected, (q, m, sources)
 
 
 def test_compare_flags_mismatch():
