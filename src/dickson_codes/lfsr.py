@@ -12,8 +12,11 @@ linear span are computed by two independent routes:
 * the spectral expansion s_t = sum_j c_j alpha^{jt}, whose nonzero support
   I gives M = prod_{i in I} (x - alpha^{-i}).
 
-Both are normalized monic so they can be compared verbatim; the pipeline
-asserts their agreement on every sequence it processes.
+Both are normalized monic so they can be compared verbatim;
+``code_from_sequence`` asserts their agreement on every code it builds.
+The theorem sweep builds each distinct code once, and checks the other
+sequences of the same spectral support against it by S(x) g(x) = 0
+mod x^n - 1 instead.
 
 The inverse transform uses c_j = -sum_t s_t alpha^{-jt}: the global factor
 is -1 because n = q^m - 1 is -1 mod p.  Since every s_t lies in GF(q),

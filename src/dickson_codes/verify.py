@@ -32,11 +32,12 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, NamedTuple, Sequence
 
+from . import _codes
 from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
                      bch_lower_bound, code_from_sequence, minimum_distance)
 from .dickson import DicksonSpec
-from .galois import Field, ZERO
-from .lfsr import defining_sequence
+from .galois import Field, InternalError, ZERO
+from .lfsr import defining_sequence, spectrum
 from .polyring import Poly, coset_table, minimal_poly_product
 from .registry import Registry, UnknownEntryError, default_registry
 
@@ -340,7 +341,18 @@ def compare(pred: PredictedCode, actual: CyclicCode,
 
 def sweep_field(F: Field, kind: str, h: int,
                 offset: int = ZERO) -> list[tuple[int, CaseReport]]:
-    """Compare predicted vs pipeline generators for every a in GF(q^m)."""
+    """Compare predicted vs pipeline generators for every a in GF(q^m).
+
+    Every case runs ``predict``, ``defining_sequence``, ``spectrum`` (whose
+    reconstruction check proves the support I) and ``compare``.  The code
+    depends only on I (Blahut's theorem), so only the first case of each I
+    runs ``code_from_sequence``; a later case with the same I reuses that
+    code after checking S(x) g(x) = 0 mod x^n - 1.  With every c_i, i in I,
+    nonzero, that proves g is the case's own minimal polynomial.  The
+    shared codes live only for this call.
+    """
+    st = F.subfield_tables()
+    codes: dict[tuple[int, ...], CyclicCode] = {}
     out = []
     for a in F.elements():
         spec = DicksonSpec(kind=kind, h=h, a=a, offset=offset)
@@ -348,7 +360,14 @@ def sweep_field(F: Field, kind: str, h: int,
             pred = predict(spec, F)
         except NoTheoremApplies:
             continue
-        code = code_from_sequence(defining_sequence(F, spec))
+        s = defining_sequence(F, spec)
+        support = spectrum(s).support
+        code = codes.get(support)
+        if code is None:
+            code = codes[support] = code_from_sequence(s)
+        elif not _codes.cyclic_product_is_zero(s.codes, code.g_codes, st):
+            raise InternalError("shared generator does not annihilate the "
+                                "sequence of its spectral support")
         out.append((a, compare(pred, code)))
     return out
 

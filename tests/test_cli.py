@@ -109,9 +109,14 @@ def test_sweep_command(capsys):
 
 
 def test_sweep_out_of_regime_exits_2(capsys):
-    status, _, _ = run_cli(capsys, "sweep", "--q", "2", "--m", "4",
-                           "--kind", "D", "--order", "5")
-    assert status == 2
+    # order 6 has no statement; order 5 has one whose cosets do not fit m = 4
+    for order, reason in (("6", "no theorem applies"),
+                          ("5", "coset structure outside the stated regime")):
+        status, out, err = run_cli(capsys, "sweep", "--q", "2", "--m", "4",
+                                   "--kind", "D", "--order", order)
+        assert status == 2
+        assert out == ""
+        assert f"error: {reason}" in err
 
 
 def test_unknown_field_exits_2(capsys):

@@ -2,10 +2,13 @@
 
 import pytest
 
-from dickson_codes.cyclic import DistanceConfig, code_from_sequence, minimum_distance
+from dickson_codes import verify
+from dickson_codes.cyclic import (CyclicCode, DistanceConfig,
+                                  code_from_sequence, minimum_distance)
 from dickson_codes.dickson import DicksonSpec
-from dickson_codes.galois import ZERO
-from dickson_codes.lfsr import defining_sequence
+from dickson_codes.galois import ZERO, InternalError
+from dickson_codes.lfsr import defining_sequence, spectrum
+from dickson_codes.polyring import Poly
 from dickson_codes.registry import default_registry
 from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
                                   MATCH_WITH_ERRATUM, MISMATCH,
@@ -124,6 +127,72 @@ def test_sweep_field_agrees_everywhere():
     reports = sweep_field(F, "D", 3)
     assert len(reports) == 32  # every a in GF(32)
     assert all(r.generator_match and r.dimension_match for _, r in reports)
+
+
+def _counting_builds(monkeypatch, first=None):
+    """Patch verify.code_from_sequence to count its calls; `first`, when
+    given, replaces the code of the first call."""
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        if first is not None and len(calls) == 1:
+            return first
+        return code_from_sequence(s)
+
+    monkeypatch.setattr(verify, "code_from_sequence", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (2, 5), (3, 3), (4, 2), (5, 2),
+                                 (7, 2), (9, 2)])
+def test_sweep_field_builds_each_support_once(monkeypatch, q, m):
+    F = REG.field(q, m)
+    calls = _counting_builds(monkeypatch)
+    swept = 0
+    for h in sorted({F.p, 2, 3, 4, 5}):
+        before = len(calls)
+        reports = sweep_field(F, "D", h)
+        expected, supports = [], set()
+        for a in F.elements():
+            spec = DicksonSpec(kind="D", h=h, a=a)
+            try:
+                pred = predict(spec, F)
+            except NoTheoremApplies:
+                continue
+            s = defining_sequence(F, spec)
+            supports.add(spectrum(s).support)
+            expected.append((a, compare(pred, code_from_sequence(s))))
+        assert reports == expected, (q, m, h)
+        assert len(calls) - before == len(supports), (q, m, h)
+        # nothing outlives the call: a second sweep builds every code again
+        sweep_field(F, "D", h)
+        assert len(calls) - before == 2 * len(supports), (q, m, h)
+        swept += len(reports)
+    assert len(calls) < 2 * swept  # fewer codes built than cases swept
+
+
+def test_sweep_field_checks_every_shared_code(monkeypatch):
+    F, h = REG.field(4, 2), 3
+    cases = [defining_sequence(F, DicksonSpec(kind="D", h=h, a=a))
+             for a in F.elements()]
+    supports = [spectrum(s).support for s in cases]
+    assert supports[0]  # S(x) != 0, so g = 1 cannot annihilate it
+    repeat = supports.index(supports[0], 1)
+    calls = _counting_builds(monkeypatch, first=CyclicCode(F, Poly.one(F)))
+    made = []
+
+    def recording(F, spec):
+        made.append(spec.a)
+        return defining_sequence(F, spec)
+
+    monkeypatch.setattr(verify, "defining_sequence", recording)
+    with pytest.raises(InternalError, match="does not annihilate"):
+        sweep_field(F, "D", h)
+    # every a of GF(16) is in regime: the sweep stops at the first case
+    # that reuses the wrong code
+    assert len(made) == repeat + 1
+    assert len(calls) == len(set(supports[:repeat]))
 
 
 def test_errata_loaded():

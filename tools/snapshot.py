@@ -23,10 +23,12 @@ codes
     that defines it, and the computed n, k, d, exactness, distance method,
     certified lower bound and witness.  The codes are those of D_h(x, a)
     for every registry field with 2 <= n <= 255, every h in 2..7 and
-    every a in the field, keeping those with 0 < k < n, deduplicated by
-    generator within each field in the order (h, a) is walked.  Each
-    distance is ``cyclic.minimum_distance`` with the default
-    ``DistanceConfig``.
+    every a in the field, keeping those with 0 < k < n, deduplicated
+    within each field in the order (h, a) is walked.  A case whose
+    spectral support I was already seen in its field is skipped before
+    its code is built: g is the product of (x - alpha^-i) over i in I, so
+    I and g determine each other.  Each distance is
+    ``cyclic.minimum_distance`` with the default ``DistanceConfig``.
 sweep
     Every case of the whole-field theorem sweep: the theorem and case that
     apply, whether the predicted generator and dimension match the
@@ -44,7 +46,7 @@ import sys
 from dickson_codes import verify
 from dickson_codes.cyclic import code_from_sequence, minimum_distance
 from dickson_codes.dickson import DicksonSpec
-from dickson_codes.lfsr import defining_sequence
+from dickson_codes.lfsr import defining_sequence, spectrum
 from dickson_codes.registry import default_registry
 
 
@@ -93,12 +95,14 @@ def codes(registry) -> None:
         seen = set()
         for h in range(2, 8):
             for a in F.elements():
-                spec = DicksonSpec(kind="D", h=h, a=a)
-                code = code_from_sequence(defining_sequence(F, spec))
-                generator = code.g.text()
-                if not 0 < code.k < code.n or generator in seen:
+                s = defining_sequence(F, DicksonSpec(kind="D", h=h, a=a))
+                support = spectrum(s).support
+                if support in seen:
                     continue
-                seen.add(generator)
+                seen.add(support)
+                code = code_from_sequence(s)
+                if not 0 < code.k < code.n:
+                    continue
                 dist = minimum_distance(code)
                 _emit({
                     "q": q, "m": m, "h": h, "a": F.format_element(a),
