@@ -1,5 +1,5 @@
 """Cyclic codes over GF(q): construction from sequences, BCH bound, exact
-minimum distance, weight distribution, and even-like subcodes.
+minimum distance and weight distribution.
 
 Distance strategy, in order:
 
@@ -238,19 +238,6 @@ def _longest_cyclic_run(sorted_vals: list[int], n: int) -> int:
     if sorted_vals[0] == 0 and sorted_vals[-1] == n - 1 and len(runs) > 1:
         runs[0] += runs.pop()
     return max(runs)
-
-
-def even_like_subcode(code: CyclicCode) -> CyclicCode:
-    """Subcode of codewords with coordinate sum zero.
-
-    If (x-1) already divides g the code is its own even-like subcode;
-    otherwise the generator picks up the extra factor (x-1).
-    """
-    if code.g(code.field.one) == ZERO:
-        return code
-    x_minus_1 = Poly(code.field, (code.field.neg(code.field.one), code.field.one))
-    return CyclicCode(code.field, (code.g * x_minus_1).monic(),
-                      provenance=code.provenance)
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -238,11 +237,6 @@ class Field:
             acc = self.add(acc, 0)
         return acc
 
-    def element_order(self, x: int) -> int:
-        if x == ZERO:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        return (self.r - 1) // math.gcd(self.r - 1, x)
-
     def elements(self):
         """All r elements, zero first then alpha^0 .. alpha^(r-2)."""
         yield ZERO
@@ -303,19 +297,18 @@ class Field:
         s = text.strip()
         if s in ("a", "alpha"):
             return self.alpha
-        for prefix in ("alpha^", "a^"):
-            if s.startswith(prefix):
-                return int(s[len(prefix):]) % (self.r - 1)
-        if "/" in s:
-            num, _, den = s.partition("/")
-            d = self.scalar(int(den))
-            if d == ZERO:
-                raise ValueError(f"denominator vanishes in GF({self.r}): {text!r}")
-            return self.div(self.scalar(int(num)), d)
         try:
-            return self.scalar(int(s))
+            for prefix in ("alpha^", "a^"):
+                if s.startswith(prefix):
+                    return int(s[len(prefix):]) % (self.r - 1)
+            num, slash, den = s.partition("/")
+            num, den = int(num), int(den) if slash else 1
         except ValueError:
             raise ValueError(f"cannot parse field element {text!r}") from None
+        d = self.scalar(den)
+        if d == ZERO:
+            raise ValueError(f"denominator vanishes in GF({self.r}): {text!r}")
+        return self.div(self.scalar(num), d)
 
     def __repr__(self):
         return (f"Field(GF({self.r})/GF({self.q}), "
@@ -510,55 +503,3 @@ class LogTables:
         conjugates = [pow(field.q, i, n) for i in range(m)]
         self.trace = np.append(field.vec_tables().power_sums(
             np.arange(n), conjugates, np.zeros(m, dtype=np.int64)), ZERO)
-
-
-def find_primitive_poly(p: int, degree: int) -> tuple[int, ...]:
-    """Smallest primitive polynomial of the given degree over GF(p).
-
-    Candidates are ordered by their base-p integer code (constant digit
-    least significant), so the result is deterministic.
-    """
-    if degree == 1:
-        # x - g for the smallest primitive root g (x + 1 over GF(2)).
-        for g in range(1, p):
-            if p == 2 or _order_mod(g, p) == p - 1:
-                return ((-g) % p, 1)
-        raise FieldError(f"no primitive root mod {p}")
-    for low in range(p**degree):
-        coeffs = tuple((low // p**i) % p for i in range(degree)) + (1,)
-        if coeffs[0] == 0:
-            continue
-        try:
-            Field(FieldSpec(p=p, t=1, m=degree, prim_poly=coeffs))
-        except FieldError:
-            continue
-        return coeffs
-    raise FieldError(f"no primitive polynomial of degree {degree} over GF({p})")
-
-
-def _order_mod(g: int, p: int) -> int:
-    e, acc = 1, g % p
-    while acc != 1:
-        acc = acc * g % p
-        e += 1
-    return e
-
-
-@lru_cache(maxsize=None)
-def _gf2m_field(m: int) -> Field:
-    return Field(FieldSpec(p=2, t=1, m=m, prim_poly=find_primitive_poly(2, m)))
-
-
-def artin_cubic_has_nonzero_root(m: int) -> bool:
-    """Whether x + x^2 + x^4 = 0 has a nonzero root in GF(2^m).
-
-    Decided by exhaustive evaluation over GF(2^m)*.
-    """
-    if m == 1:
-        return False
-    f = _gf2m_field(m)
-    for x in range(f.r - 1):
-        acc = f.add(f.add(x, f.pow(x, 2)), f.pow(x, 4))
-        if acc == ZERO:
-            return True
-    return False

@@ -61,10 +61,6 @@ class PeriodicSequence:
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def is_zero(self) -> bool:
         return all(v == ZERO for v in self.values)
 
@@ -108,11 +104,6 @@ def defining_sequence(field: Field, spec: DicksonSpec) -> PeriodicSequence:
     values[lt.zech == ZERO] = f[0]
     return PeriodicSequence(field=field, values=tuple(lt.trace[values].tolist()),
                             provenance=spec)
-
-
-def sequence_poly(s: PeriodicSequence) -> Poly:
-    """S(x) = s_0 + s_1 x + ... + s_{n-1} x^{n-1}."""
-    return Poly(s.field, s.values)
 
 
 def minimal_poly_gcd(s: PeriodicSequence) -> MinimalPolyResult:

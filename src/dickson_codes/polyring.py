@@ -126,12 +126,6 @@ class Poly:
             return Poly.zero(F)
         return Poly(F, [F.mul(a, c) for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (ZERO,) * k + self.coeffs)
-
     def __divmod__(self, other: "Poly"):
         F = self._binop_field(other)
         if other.is_zero():
@@ -217,13 +211,6 @@ class Poly:
         return f"Poly({self.pretty()})"
 
 
-def reciprocal(g: Poly) -> Poly:
-    """Monic associate of x^deg(g) * g(1/x); roots become their inverses."""
-    if g.is_zero() or g[0] == ZERO:
-        raise ValueError("reciprocal requires a nonzero constant term")
-    return Poly(g.field, tuple(reversed(g.coeffs))).monic()
-
-
 @dataclass(frozen=True)
 class CyclotomicCoset:
     """A q-cyclotomic coset modulo n: {j, qj, q^2 j, ...}."""
@@ -283,11 +270,6 @@ def coset_table(n: int, q: int) -> CosetTable:
     return CosetTable(*arrays)
 
 
-def coset_leaders(n: int, q: int) -> list[int]:
-    """Sorted coset leaders; the cosets of these partition Z_n."""
-    return coset_table(n, q).leaders.tolist()
-
-
 def minimal_polynomial(field: Field, a: int) -> Poly:
     """Minimal polynomial of a over GF(q): the product over the coset of
     its exponent, monic, with coefficients in the subfield; x for a = 0.
@@ -329,4 +311,4 @@ def factor_xn_minus_1(n: int, field: Field) -> list[tuple[CyclotomicCoset, Poly]
         raise ValueError(f"n={n} must equal r-1={field.n} for this field")
     return [(cyclotomic_coset(n, field.q, leader),
              minimal_polynomial(field, leader))
-            for leader in coset_leaders(n, field.q)]
+            for leader in coset_table(n, field.q).leaders.tolist()]

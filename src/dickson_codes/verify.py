@@ -477,7 +477,8 @@ class RowReport:
 
     def line(self) -> str:
         printed = f"[{self.row.n},{self.row.k},{self.row.d}]"
-        got = f"[{self.computed_n},{self.computed_k},{self.computed_d}]"
+        d = self.computed_d if self.d_exact else f">={self.computed_d}"
+        got = f"[{self.computed_n},{self.computed_k},{d}]"
         extra = f" errata={','.join(self.errata)}" if self.errata else ""
         return (f"{self.row.table} row {self.row.index:>2}: printed {printed:>14} "
                 f"computed {got:>14} {self.status}{extra}")

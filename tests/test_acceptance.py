@@ -15,7 +15,7 @@ from dickson_codes.cyclic import (DistanceConfig, code_from_sequence,
 from dickson_codes.dickson import (DicksonSpec, dickson_first,
                                    dickson_first_recurrence, dickson_second,
                                    dickson_second_recurrence)
-from dickson_codes.galois import ZERO, artin_cubic_has_nonzero_root
+from dickson_codes.galois import ZERO, Field, FieldSpec
 from dickson_codes.lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
 from dickson_codes.polyring import Poly
 from dickson_codes.registry import default_registry
@@ -25,6 +25,11 @@ from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
                                   sweep_field)
 
 REG = default_registry()
+# primitive polynomials over GF(2), constant term first, past the registry
+_GF2_PRIMITIVE = {9: (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+                  10: (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+                  11: (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+                  12: (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)}
 
 
 def _passline(num, text):
@@ -246,9 +251,14 @@ def test_criterion_10_proof_witnesses():
         vec[F.n // 2] = st.scalar_code(1)
         assert code.contains(vec)
         assert minimum_distance(code).value == 2
-    # cubic root criterion for m = 2..12
+    # cubic root criterion for m = 2..12: x + x^2 + x^4 has a nonzero root
+    # in GF(2^m) exactly when 3 | m
     for m in range(2, 13):
-        assert artin_cubic_has_nonzero_root(m) == (m % 3 == 0)
+        F = (REG.field(2, m) if m <= 8 else
+             Field(FieldSpec(p=2, t=1, m=m, prim_poly=_GF2_PRIMITIVE[m])))
+        has_root = any(F.add(F.add(x, F.pow(x, 2)), F.pow(x, 4)) == ZERO
+                       for x in range(F.n))
+        assert has_root == (m % 3 == 0), m
     # [7,3,4] weight distribution
     F8 = REG.field(2, 3)
     code = code_from_sequence(

@@ -31,6 +31,18 @@ def test_code_command_json(capsys):
     assert payload["generator"].split() == "1 1 1 0 1 0 0 0 1".split()
 
 
+def test_code_command_bch_distance(capsys):
+    status, out, _ = run_cli(capsys, "code", "--q", "2", "--m", "4",
+                             "--kind", "D", "--order", "3", "--a", "1",
+                             "--distance", "bch")
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["bch_bound"], payload["d"]) == (5, 5)
+    assert payload["d_exact"] is False
+    assert payload["d_method"] == "bch-only"
+    assert payload["witness"] is None
+
+
 def test_code_command_computes_bch_bound_once(capsys, monkeypatch):
     calls = []
     for module in (cyclic, cli):

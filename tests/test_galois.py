@@ -1,13 +1,13 @@
 """Field construction, arithmetic, trace, and subfield structure."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from dickson_codes.galois import (Field, FieldError, FieldSpec, VecTables,
-                                  ZERO, artin_cubic_has_nonzero_root,
-                                  find_primitive_poly)
+                                  ZERO)
 from dickson_codes.registry import default_registry
 
 
@@ -84,17 +84,6 @@ def test_delta_examples():
     assert reg.field(2, 4).delta(reg.field(2, 4).one) == 0  # m even
 
 
-def test_artin_cubic_examples():
-    assert artin_cubic_has_nonzero_root(3) is True
-    assert artin_cubic_has_nonzero_root(4) is False
-    assert artin_cubic_has_nonzero_root(6) is True
-
-
-def test_artin_cubic_congruence_m_2_to_12():
-    for m in range(2, 13):
-        assert artin_cubic_has_nonzero_root(m) == (m % 3 == 0), m
-
-
 def test_frobenius_additivity():
     reg = default_registry()
     rng = random.Random(11)
@@ -154,7 +143,7 @@ def test_subfield_generator_order():
         if beta == 0:
             assert f.q == 2  # subfield {0, 1}
             continue
-        assert f.element_order(beta) == f.q - 1
+        assert (f.r - 1) // math.gcd(f.r - 1, beta) == f.q - 1
 
 
 def test_parse_and_format_elements():
@@ -169,15 +158,9 @@ def test_parse_and_format_elements():
     assert f.format_element(ZERO) == "0"
     assert f.format_element(0) == "1"
     assert f.format_element(17) == "a^17"
-    with pytest.raises(ValueError):
-        f.parse_element("bogus")
-
-
-def test_find_primitive_poly_smallest():
-    assert find_primitive_poly(2, 3) == (1, 1, 0, 1)
-    assert find_primitive_poly(3, 5) == (1, 2, 0, 0, 0, 1)
-    # degree 1: x - (smallest primitive root)
-    assert find_primitive_poly(7, 1) == (4, 1)  # x - 3
+    for bad in ("bogus", "a^x", "alpha^", "1/", "x/2"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            f.parse_element(bad)
 
 
 def test_registry_overrides_present():
@@ -212,8 +195,8 @@ def test_subfield_tables_match_scalar_arithmetic():
     reg = default_registry()
     # every registry field, and the largest subfields uint8 codes hold
     fields = [reg.field(q, m) for q, m in sorted(reg.pairs())]
-    fields += [Field(FieldSpec(p, t, 1, find_primitive_poly(p, t)))
-               for p, t in [(2, 8), (3, 5)]]
+    fields += [Field(FieldSpec(2, 8, 1, (1, 0, 1, 1, 1, 0, 0, 0, 1))),
+               Field(FieldSpec(3, 5, 1, (1, 2, 0, 0, 0, 1)))]
     for f in fields:
         q = f.q
         st = f.subfield_tables()

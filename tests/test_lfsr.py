@@ -10,8 +10,7 @@ from dickson_codes.dickson import DicksonSpec, dickson_poly
 from dickson_codes.galois import ZERO
 from dickson_codes import _codes
 from dickson_codes.lfsr import (PeriodicSequence, defining_sequence,
-                                minimal_poly_dft, minimal_poly_gcd,
-                                sequence_poly, spectrum)
+                                minimal_poly_dft, minimal_poly_gcd, spectrum)
 from dickson_codes.polyring import Poly, minimal_polynomial
 from dickson_codes.registry import default_registry
 
@@ -155,7 +154,7 @@ def test_symbol_string_and_sequence_poly():
     f = REG.field(2, 3)
     s = defining_sequence(f, DicksonSpec(kind="D", h=1, a=ZERO))
     assert s.symbol_string() == "0 1 1 0 1 0 0"
-    assert sequence_poly(s) == Poly.from_ints(f, [0, 1, 1, 0, 1])
+    assert Poly(s.field, s.values) == Poly.from_ints(f, [0, 1, 1, 0, 1])
 
 
 def _pointwise_sequence(F, spec):

@@ -9,10 +9,9 @@ from hypothesis import strategies as hst
 
 from dickson_codes import _codes
 from dickson_codes.galois import ZERO
-from dickson_codes.polyring import (Poly, coset_leaders, coset_table,
-                                    cyclotomic_coset, factor_xn_minus_1,
-                                    minimal_poly_product, minimal_polynomial,
-                                    reciprocal)
+from dickson_codes.polyring import (Poly, coset_table, cyclotomic_coset,
+                                    factor_xn_minus_1, minimal_poly_product,
+                                    minimal_polynomial)
 from dickson_codes.registry import default_registry
 
 REG = default_registry()
@@ -65,9 +64,9 @@ def test_cyclotomic_coset_examples():
 
 
 def test_coset_leaders_examples():
-    assert coset_leaders(7, 2) == [0, 1, 3]
-    assert coset_leaders(15, 2) == [0, 1, 3, 5, 7]
-    assert coset_leaders(8, 3) == [0, 1, 2, 4, 5]
+    assert coset_table(7, 2).leaders.tolist() == [0, 1, 3]
+    assert coset_table(15, 2).leaders.tolist() == [0, 1, 3, 5, 7]
+    assert coset_table(8, 3).leaders.tolist() == [0, 1, 2, 4, 5]
     assert cyclotomic_coset(8, 3, 4).members == (4,)
     assert set(cyclotomic_coset(8, 3, 5).members) == {5, 7}
 
@@ -78,7 +77,7 @@ def test_cosets_partition_all_registry_pairs():
         if n < 2:
             continue
         union = []
-        for leader in coset_leaders(n, q):
+        for leader in coset_table(n, q).leaders.tolist():
             union.extend(cyclotomic_coset(n, q, leader).members)
         assert sorted(union) == list(range(n))
 
@@ -159,26 +158,6 @@ def test_minimal_polynomial_properties():
             assert _is_irreducible(mp), (q, m, a)
 
 
-def test_reciprocal_examples():
-    f = REG.field(2, 3)
-    g = Poly.from_ints(f, [1, 1, 0, 1])
-    r = reciprocal(g)
-    assert r == Poly.from_ints(f, [1, 0, 1, 1])
-    assert reciprocal(r) == g  # involution
-    assert reciprocal(Poly.from_ints(f, [-1, 1])) == Poly.from_ints(f, [-1, 1])
-    with pytest.raises(ValueError):
-        reciprocal(Poly.x(f))
-
-
-def test_reciprocal_roots_are_inverses():
-    f = REG.field(3, 2)
-    g = minimal_polynomial(f, f.alpha)
-    r = reciprocal(g)
-    for x in range(f.r - 1):
-        if g(x) == ZERO:
-            assert r(f.inv(x)) == ZERO
-
-
 def test_factorization_examples():
     f8 = REG.field(2, 3)
     factors = factor_xn_minus_1(7, f8)
@@ -237,7 +216,8 @@ def test_coset_table_matches_cyclotomic_cosets():
     for q, m in DIFF_FIELDS + ((2, 7), (4, 3)):
         n = q**m - 1
         table = coset_table(n, q)
-        assert table.leaders.tolist() == coset_leaders(n, q)
+        assert table.leaders.tolist() == sorted(
+            {min(orbit(n, q, j)) for j in range(n)})
         powers = {pow(q, i, n) for i in range(m)}
         for j in range(n):
             c = table.index[j]

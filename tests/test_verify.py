@@ -264,3 +264,12 @@ def test_run_table_d2_report_shapes():
     assert len(csv_text.splitlines()) == 14
     json_text = report.to_json()
     assert '"status": "MATCH"' in json_text
+
+
+def test_row_line_marks_an_inexact_distance_as_a_bound():
+    report = run_table("D1", cfg=DistanceConfig(w_max=1))
+    inexact = [r for r in report.rows if not r.d_exact]
+    assert [r.row.index for r in inexact] == [12, 19]
+    for r in report.rows:
+        assert (">=" in r.line()) == (not r.d_exact), r.line()
+    assert f"[63,59,>={inexact[0].computed_d}]" in inexact[0].line()
