@@ -10,13 +10,12 @@ Distance strategy, in order:
   a cyclic shift, times a scalar, with c_0 = 1 and c_{n-1} = 0, that is
   m_0 = 1 / g_0 and m_{k-1} = 0, so the walk starts from G[0] / g_0 and
   spans rows 1..k-2 (for k = 1 it is the single word g / g_0, of weight
-  n).  The minimum weight is exact, and the witness is the
-  lexicographically smallest shift and multiple of the minimum-weight
-  words found, as for MITM below.  A high-rate code (n - k < k)
-  under the cap first tries the MITM sweep below, taking a level only
-  while the levels' summed side sizes stay below q^k; enumeration runs
-  when that budget runs out or a side exceeds the side limit.  Low-rate codes
-  are enumerated directly, which is cheaper for them.
+  n).  The minimum weight is exact, and every pinned word of that weight
+  is reported.  A high-rate code (n - k < k) under the cap first tries
+  the MITM sweep below, taking a level only while the levels' summed side
+  sizes stay below q^k; enumeration runs when that budget runs out or a
+  side exceeds the side limit.  Low-rate codes are enumerated directly,
+  which is cheaper for them.
 * **mitm** - otherwise weights w are swept upward from the BCH lower
   bound, so a level that completes without a match raises the certified
   bound to w + 1, and the first match is exact.  Each level is a
@@ -28,15 +27,14 @@ Distance strategy, in order:
   floor((n - 1) / w).  Side A is position 0 with coefficient 1 plus
   ceil(w/2) - 1 positions of 1..span and side B is floor(w/2) positions
   of 1..span.  Only matches with every A position below every B position
-  are kept, so each is a distinct weight-w codeword; the witness is the
-  lexicographically smallest of their shifts and multiples, checked once,
-  which is the witness enumeration would return.  Keys are syndromes
-  packed one GF(p) digit to a lane of 1 (p = 2) or ceil(log2(2p - 1))
-  bits, in as many 64-bit words as they need; one lane-wise kernel sums
-  them for every q.  Sides are joined on word 0: A's keys alone are
-  sorted, B's are screened by a bloom filter and a binary search, and
-  only for the B keys that matched are the A entries looked up; candidate
-  pairs are then confirmed on the other words.
+  are kept, so each is a distinct weight-w codeword, and all are
+  reported.  Keys are syndromes packed one GF(p) digit to a lane of 1
+  (p = 2) or ceil(log2(2p - 1)) bits, in as many 64-bit words as they
+  need; one lane-wise kernel sums them for every q.  Sides are joined on
+  word 0: A's keys alone are sorted, B's are screened by a bloom filter
+  and a binary search, and only for the B keys that matched are the A
+  entries looked up; candidate pairs are then confirmed on the other
+  words.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -46,10 +44,10 @@ Distance strategy, in order:
   word: a quick pass ends at its first information set that brings no
   improvement, the MITM sweep then certifies, and only a blocked sweep
   resumes the same search, within the full iteration budget, so no set
-  is reduced twice.  When n - k < k this reduces the parity-check matrix's
-  n - k rows, scanning from the right, instead of the generator's k rows:
-  by matroid duality its check columns are the complement of the
-  generator's information set, so the systematic generator is the same.
+  is reduced twice.  Each set is reduced from the parity-check matrix's
+  n - k rows, scanning from the right: by matroid duality its check
+  columns are the complement of the generator's information set, so the
+  systematic generator is the one reducing the generator's k rows gives.
   Single rows and every pair R[i] + c * R[j] are scored.  The search
   stops at a proven floor (the BCH bound or completed MITM levels), so
   when a single row already weighs the floor no pair can beat it and the
@@ -58,9 +56,16 @@ Distance strategy, in order:
   planes of 64-bit words, and the count is the popcount of the planes'
   XORs, ORed together.
 
-Every codeword any search reports is re-verified before it is believed:
-c is a codeword exactly when c(x) h(x) = 0 mod x^n - 1, with h the parity
-polynomial.
+One witness convention: each engine reports its weight and its lightest
+words, and ``minimum_distance`` alone turns them into the witness.  It
+takes the lexicographically smallest of their cyclic shifts and nonzero
+multiples (``_smallest_shift``), so a word found in any shift or
+multiple yields the same witness.  Enumeration and a MITM hit report a
+shift and multiple of every minimum-weight word, so their witness is
+the smallest codeword of minimum weight; the witness search reports its
+one lightest word.  The words must all have the reported weight and the
+witness must be a codeword, c(x) h(x) = 0 mod x^n - 1 with h the parity
+polynomial, before it is believed.
 """
 
 from __future__ import annotations
@@ -302,22 +307,19 @@ def _span_blocks(rows: np.ndarray, base: np.ndarray, st: SubfieldTables):
         yield block.T
 
 
-def _exhaustive_distance(code: CyclicCode) -> tuple[int, tuple[int, ...]]:
-    """Minimum weight and the lexicographically smallest codeword of that
-    weight, in one pass over the pinned codewords (``_pinned_blocks``)."""
-    st = code.field.subfield_tables()
-    best_w, witness = code.n + 1, None
+def _exhaustive_distance(code: CyclicCode) -> tuple[int, np.ndarray]:
+    """Minimum weight and every pinned codeword (``_pinned_blocks``) of that
+    weight, in one pass; they hold a shift and multiple of every
+    minimum-weight codeword."""
+    best_w, lightest = code.n + 1, []
     for block in _pinned_blocks(code):
         weights = np.count_nonzero(block, axis=1)  # c_0 = 1: never zero
         w = int(weights.min())
-        if w > best_w:
-            continue
-        cand = _smallest_shift(block[weights == w], st)
-        if w < best_w or cand < witness:
-            best_w, witness = w, cand
-    if witness is None or not code.contains(np.array(witness, dtype=np.uint8)):
-        raise InternalError("exhaustive enumeration produced a non-codeword")
-    return best_w, witness
+        if w < best_w:
+            best_w, lightest = w, []
+        if w == best_w:
+            lightest.append(block[weights == w])
+    return best_w, np.concatenate(lightest)
 
 
 def weight_distribution(code: CyclicCode,
@@ -435,11 +437,11 @@ def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _mitm_level(code: CyclicCode, table: np.ndarray,
-                w: int) -> tuple[int, ...] | None:
+                w: int) -> np.ndarray | None:
     """Full MITM sweep at weight w over the pinned split (module
     docstring), with keys from ``table = _key_table(H, st)``; returns the
-    lexicographically smallest codeword of weight w, or None if none
-    exists.  A key match puts the sum of the two sides
+    weight-w codewords the split finds, one per row, or None if there are
+    none.  A key match puts the sum of the two sides
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
 
@@ -513,11 +515,7 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     rows = np.arange(len(words))[:, None]
     words[rows, sa[keep]] = ca[keep]
     words[rows, sb[keep]] = cb[keep]
-    witness = _smallest_shift(words, st)
-    vec = np.array(witness, dtype=np.uint8)
-    if int(np.count_nonzero(vec)) != w or not code.contains(vec):
-        raise InternalError("meet-in-the-middle produced a non-codeword")
-    return witness
+    return words
 
 
 def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
@@ -527,10 +525,10 @@ def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
     ``cfg.mitm_side_limit`` and, with a budget, while the summed side
     sizes of the levels taken so far, this one included, stay below it.
 
-    Returns (w, hit, blocked).  On a hit, w is its weight and the
-    distance; otherwise hit is None and w the first weight not ruled out,
-    a certified lower bound.  ``blocked``: the sweep stopped at a level
-    over the side limit or the budget.
+    Returns (w, hit, blocked).  On a hit, w is the distance and hit the
+    level's weight-w codewords; otherwise hit is None and w the first
+    weight not ruled out, a certified lower bound.  ``blocked``: the
+    sweep stopped at a level over the side limit or the budget.
     """
     keys, table = 0, None
     while w <= cfg.w_max and (stop is None or w < stop):
@@ -550,33 +548,31 @@ def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
 
 def _smallest_shift(words: np.ndarray, st: SubfieldTables) -> tuple[int, ...]:
     """Lexicographically smallest word among all cyclic shifts and nonzero
-    scalar multiples of the given nonzero words."""
+    scalar multiples of the given nonzero words.
+
+    That word leads with a longest cyclic run of zeros and has 1 right
+    after it, so only the shifts that start right after such a run are
+    built, each scaled to put 1 there.  Chunks of words are compared by
+    their own smallest candidates: more leading zeros is smaller.
+    """
     n = words.shape[1]
-    # the smallest shift leads with a longest cyclic run of zeros among all
-    # the words, so only words with such a run need their n shifts
     col = np.arange(2 * n, dtype=np.int32)
-    runs = np.empty(len(words), dtype=np.int32)
+    best = None
     step = max(1, (1 << 20) // n)
     for lo in range(0, len(words), step):
-        twice = np.tile(words[lo : lo + step], 2)
+        chunk = words[lo : lo + step]
+        twice = np.concatenate([chunk, chunk], axis=1)
         last = np.maximum.accumulate(np.where(twice == 0, -1, col), axis=1)
-        runs[lo : lo + step] = (col - last).max(axis=1)
-    words = words[runs == runs.max()]
-    m = len(words)
-    # shift s moves coordinate j - s to j: x^s times the word
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    best = None
-    step = max(1, (1 << 22) // (n * n))
-    for lo in range(0, m, step):
-        shifted = words[lo : lo + step][:, idx].reshape(-1, n)
-        lead = np.argmax(shifted != 0, axis=1)
-        # the smallest multiple has first nonzero 1 and the most zeros before it
-        top = lead.max()
-        shifted = shifted[lead == top]
-        scaled = st.mul[st.inv[shifted[:, top]][:, None], shifted]
-        cand = tuple(int(x) for x in scaled[np.lexsort(scaled.T[::-1])[0]])
+        # before[i, j]: the cyclic run of zeros ending just before j
+        before = (col - last)[:, n - 1 : 2 * n - 1]
+        run = int(before.max())
+        i, j = np.nonzero(before == run)  # nonzero at j: no longer run
+        shifted = twice[i[:, None], ((j - run) % n)[:, None] + col[:n]]
+        scaled = st.mul[st.inv[shifted[:, run]][:, None], shifted]
+        # uint8 rows order as their bytes do
+        cand = min(row.tobytes() for row in scaled)
         best = cand if best is None else min(best, cand)
-    return best
+    return tuple(best)
 
 
 # -- seeded information-set witness search ------------------------------------
@@ -648,19 +644,15 @@ class _WitnessSearch:
 
     def __init__(self, code: CyclicCode, cfg: DistanceConfig):
         self.code, self.cfg = code, cfg
-        n, k, q = code.n, code.k, code.q
-        # reduce whichever of G and H has fewer rows; both give the same R
-        self.via_parity = n - k < k
-        self.M = (code.parity_check_matrix() if self.via_parity
-                  else code.generator_matrix())
-        seed = (ISD_SEED, zlib.crc32(code.g.text().encode()), n, q)
+        self.H = code.parity_check_matrix()
+        seed = (ISD_SEED, zlib.crc32(code.g.text().encode()), code.n, code.q)
         self.rng = np.random.default_rng(abs(hash(seed)) % (1 << 63))
         self.best_w: int | None = None
-        self.best_c: tuple[int, ...] | None = None
+        self.best_c: np.ndarray | None = None
         self.sets = 0  # information sets reduced so far, over all runs
 
     def run(self, stop_at: int, stall: int | None = None
-            ) -> tuple[int, tuple[int, ...]] | None:
+            ) -> tuple[int, np.ndarray] | None:
         """Draw information sets until the best weight is at most
         ``stop_at``, ``stall`` sets of this run bring no improvement, or
         ``cfg.isd_iterations`` sets have been used in all.  Returns the
@@ -669,7 +661,7 @@ class _WitnessSearch:
         ``stop_at`` is a proven lower bound on the distance (the BCH bound
         or completed MITM levels), so a word of that weight is a minimum
         one and no pair of its set can beat it."""
-        code, st = self.code, self.code.field.subfield_tables()
+        st = self.code.field.subfield_tables()
         since_improved = 0
         while (self.sets < self.cfg.isd_iterations
                and (self.best_w is None or self.best_w > stop_at)
@@ -681,10 +673,7 @@ class _WitnessSearch:
                               else since_improved + 1)
         if self.best_w is None:
             return None
-        vec = np.array(self.best_c, dtype=np.uint8)
-        if not code.contains(vec) or int(np.count_nonzero(vec)) != self.best_w:
-            raise InternalError("witness search produced a non-codeword")
-        return self.best_w, _normalize_witness(self.best_c, st)
+        return self.best_w, self.best_c
 
     def _draw(self, st: SubfieldTables, floor: int) -> None:
         """Reduce one random information set; score its single rows and,
@@ -692,8 +681,7 @@ class _WitnessSearch:
         free scalar on the second row."""
         n, k = self.code.n, self.code.k
         perm = self.rng.permutation(n)
-        R, pivots = (_rref_via_parity(self.M, perm, st) if self.via_parity
-                     else _rref_codes(self.M[:, perm], st))
+        R, pivots = _rref_via_parity(self.H, perm, st)
         if R.shape[0] != k:
             # G has rank k and H rank n - k for every cyclic code
             raise InternalError("information set of the wrong size")
@@ -749,20 +737,10 @@ def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
     return 2 + count.reshape(k, q - 1, k).transpose(1, 0, 2)
 
 
-def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> tuple[int, ...]:
+def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(n, dtype=np.uint8)
     out[perm] = row
-    return tuple(int(x) for x in out)
-
-
-def _normalize_witness(vec: tuple[int, ...], st: SubfieldTables) -> tuple[int, ...]:
-    """Scale so the first nonzero coefficient is 1 (deterministic form)."""
-    arr = np.array(vec, dtype=np.uint8)
-    nz = np.nonzero(arr)[0]
-    if len(nz) == 0:
-        return vec
-    inv = st.inv[arr[nz[0]]]
-    return tuple(int(x) for x in st.mul[inv, arr])
+    return out
 
 
 # -- top-level distance -------------------------------------------------------
@@ -771,15 +749,37 @@ def _normalize_witness(vec: tuple[int, ...], st: SubfieldTables) -> tuple[int, .
 def minimum_distance(code: CyclicCode,
                      cfg: DistanceConfig | None = None) -> DistanceResult:
     """Exact minimum Hamming weight where the strategy allows, else the
-    best certified lower bound (see module docstring)."""
+    best certified lower bound (see module docstring).
+
+    This is the engines' one exit: the lightest words an engine reports
+    must all have its weight, and their ``_smallest_shift`` must be a
+    codeword, before that form is the witness."""
     cfg = cfg or DistanceConfig()
     if code.k == 0:
         raise ValueError("the zero code has no minimum distance")
+    method, value, lb, found = _search(code, cfg)
+    witness = None
+    if found is not None:
+        engine, w, words = found
+        words = np.atleast_2d(words)
+        if w >= 1 and (np.count_nonzero(words, axis=1) == w).all():
+            witness = _smallest_shift(words, code.field.subfield_tables())
+        if witness is None or not code.contains(
+                np.array(witness, dtype=np.uint8)):
+            raise InternalError(f"{engine} produced a non-codeword")
+    return DistanceResult(value, method != "bch-only", method, bch_bound=lb,
+                          witness=witness, certified_lower=value)
+
+
+def _search(code: CyclicCode, cfg: DistanceConfig):
+    """Run the engines in the module docstring's order.  Returns (method,
+    value, BCH bound, found), with found None or (engine, weight, words):
+    the engine that decided, the weight of its lightest words and those
+    words, one per row."""
     if code.k == code.n:
-        # the lexicographically smallest weight-1 word, as enumeration finds
-        return DistanceResult(1, True, "exhaustive", bch_bound=1,
-                              witness=tuple([0] * (code.n - 1) + [1]),
-                              certified_lower=1)
+        # d = 1: the unit word, in the normal form (0, ..., 0, 1)
+        return "exhaustive", 1, 1, ("exhaustive enumeration", 1,
+                                    np.eye(1, code.n, dtype=np.uint8))
 
     lb = bch_lower_bound(code)
     size = code.q**code.k
@@ -790,11 +790,9 @@ def minimum_distance(code: CyclicCode,
             w, hit, _ = _mitm_sweep(code, code.parity_check_matrix(), lb,
                                     None, cfg, budget=size)
             if hit is not None:
-                return DistanceResult(w, True, "mitm", bch_bound=lb,
-                                      witness=hit, certified_lower=w)
-        d, wit = _exhaustive_distance(code)
-        return DistanceResult(d, True, "exhaustive", bch_bound=lb,
-                              witness=wit, certified_lower=d)
+                return "mitm", w, lb, ("meet-in-the-middle", w, hit)
+        d, words = _exhaustive_distance(code)
+        return "exhaustive", d, lb, ("exhaustive enumeration", d, words)
 
     search = _WitnessSearch(code, cfg)
     isd = search.run(lb, stall=ISD_STALL)
@@ -803,8 +801,7 @@ def minimum_distance(code: CyclicCode,
     certified, hit, hit_wall = _mitm_sweep(
         code, code.parity_check_matrix(), lb, upper, cfg)
     if hit is not None:
-        return DistanceResult(certified, True, "mitm", bch_bound=lb,
-                              witness=hit, certified_lower=certified)
+        return "mitm", certified, lb, ("meet-in-the-middle", certified, hit)
 
     if hit_wall and (upper is None or upper > certified):
         # the quick witness pass stalled above the certified floor and the
@@ -812,16 +809,13 @@ def minimum_distance(code: CyclicCode,
         isd = search.run(certified)
         upper = isd[0] if isd else None
 
+    found = None if isd is None else ("witness search", *isd)
     if upper is not None and upper == certified:
         # a completed level raised the certified bound above the BCH bound
         method = "mitm+witness" if certified > lb else "bch+witness"
-        return DistanceResult(upper, True, method, bch_bound=lb,
-                              witness=isd[1], certified_lower=certified)
-
-    # unresolved: report the certified lower bound only
-    return DistanceResult(certified, False, "bch-only", bch_bound=lb,
-                          witness=isd[1] if isd else None,
-                          certified_lower=certified)
+        return method, certified, lb, found
+    # unresolved: the value is the certified lower bound only
+    return "bch-only", certified, lb, found
 
 
 # -- secondary parity-check construction (cross-check) ------------------------

@@ -19,7 +19,10 @@ full-field sweep is the arbiter.
 
 ``run_table`` rebuilds every printed row through the generic pipeline
 (sequence -> generator -> distance), applies the shipped errata, and
-reports MATCH / MATCH-WITH-ERRATUM / FLAGGED-ANOMALY / MISMATCH per row.
+reports MATCH / MATCH-WITH-ERRATUM / FLAGGED-ANOMALY / UNRESOLVED /
+MISMATCH per row.  UNRESOLVED: n and k agree and the distance search
+stopped short, with the proven bound at most the printed d and any
+witness at least as heavy as it, so nothing contradicts the paper.
 """
 
 from __future__ import annotations
@@ -456,6 +459,7 @@ def apply_errata(row: TableRow,
 MATCH = "MATCH"
 MATCH_WITH_ERRATUM = "MATCH-WITH-ERRATUM"
 FLAGGED_ANOMALY = "FLAGGED-ANOMALY"
+UNRESOLVED = "UNRESOLVED"
 MISMATCH = "MISMATCH"
 
 
@@ -528,10 +532,9 @@ class TableReport:
 
 
 def table_distance_config(table_id: str) -> DistanceConfig:
-    """Per-table search depth: D7 carries the deep rows, the rest cap at 8."""
-    if table_id == "D7":
-        return DistanceConfig(w_max=13)
-    return DistanceConfig(w_max=8)
+    """The distance settings of a table's rows: the defaults, for every
+    table (their w_max of 13 is what D7's deep rows need)."""
+    return DistanceConfig()
 
 
 def process_row(row: TableRow, registry: Registry,
@@ -554,13 +557,14 @@ def process_row(row: TableRow, registry: Registry,
     except NoTheoremApplies:
         pass
 
-    anomaly = eff.n != F.n
-    params_match = (eff.n == F.n and eff.k == code.k
-                    and dist.exact and eff.d == dist.value)
-    if anomaly:
+    if eff.n != F.n:
         status = FLAGGED_ANOMALY
-    elif params_match:
+    elif eff.k == code.k and dist.exact and eff.d == dist.value:
         status = MATCH_WITH_ERRATUM if applied else MATCH
+    elif (eff.k == code.k and not dist.exact and dist.value <= eff.d
+          and (dist.witness is None
+               or eff.d <= len(dist.witness) - dist.witness.count(0))):
+        status = UNRESOLVED
     else:
         status = MISMATCH
     bd_ok = (not dist.exact) or dist.value <= eff.bd

@@ -112,6 +112,14 @@ def test_table_command_text(capsys):
     assert "MISMATCH" not in out
 
 
+def test_shallow_table_search_is_unresolved_not_a_mismatch(capsys):
+    status, out, _ = run_cli(capsys, "table", "--id", "D1", "--wmax", "1")
+    assert status == 0
+    rows = [ln.split() for ln in out.splitlines() if ln.startswith("D1 row")]
+    assert [r[2] for r in rows if "UNRESOLVED" in r] == ["12:", "19:"]
+    assert "'UNRESOLVED': 2" in out and "MISMATCH" not in out
+
+
 def test_sweep_command(capsys):
     status, out, _ = run_cli(capsys, "sweep", "--q", "2", "--m", "5",
                              "--kind", "D", "--order", "3")

@@ -16,6 +16,7 @@ from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   _mitm_span, _pair_weights,
                                   _pinned_blocks, _rref_codes,
                                   _rref_via_parity, _side_keys,
+                                  _smallest_shift,
                                   _WitnessSearch, bch_lower_bound,
                                   code_from_sequence, codeword_blocks,
                                   minimum_distance, parity_matrix_from_roots,
@@ -36,6 +37,12 @@ def build(q, m, kind, h, a_expr, offset=None):
     off = F.parse_element(offset) if offset else ZERO
     return code_from_sequence(
         defining_sequence(F, DicksonSpec(kind=kind, h=h, a=a, offset=off)))
+
+
+def _enumerated(code):
+    """Enumeration's minimum weight and the normal form of its words."""
+    w, words = _exhaustive_distance(code)
+    return w, _smallest_shift(words, code.field.subfield_tables())
 
 
 def test_code_from_sequence_examples():
@@ -309,7 +316,7 @@ def test_exhaustive_witness_is_smallest_minimum_weight_codeword():
             codes += [0] * (c.n - len(codes))
             key = (c.n - codes.count(0), tuple(codes))
             best = key if best is None else min(best, key)
-        assert _exhaustive_distance(c) == best, (c.q, c.n, c.k)
+        assert _enumerated(c) == best, (c.q, c.n, c.k)
         d = minimum_distance(c)
         assert (d.value, d.witness) == best, (c.q, c.n, c.k)
         checked += 1
@@ -321,7 +328,7 @@ def test_full_code_witness_matches_enumeration():
         F = REG.field(q, m)
         full = CyclicCode(F, Poly.one(F))
         d = minimum_distance(full)
-        assert (d.value, d.witness) == _exhaustive_distance(full)
+        assert (d.value, d.witness) == _enumerated(full)
 
 
 def test_colex_positions_past_int16():
@@ -400,7 +407,7 @@ def test_contains_says_no_to_non_codewords(data, code):
 @example(_non_reversible(2, 3, [1, 1, 0, 1]))  # x^3 + x + 1
 @example(_non_reversible(3, 2, [2, 1, 1]))  # x^2 + x + 2
 def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
-    exh = _exhaustive_distance(code)
+    exh = _enumerated(code)
     d = minimum_distance(code)
     assert (d.value, d.witness) == exh
     cfg = DistanceConfig(isd_iterations=0, full_enum_limit=1, w_max=code.n,
@@ -460,7 +467,7 @@ def test_pinned_enumeration_matches_full_walk(code):
     w = int(weights[weights > 0].min())
     hits = words[weights == w]
     smallest = tuple(int(x) for x in hits[np.lexsort(hits.T[::-1])[0]])
-    assert _exhaustive_distance(code) == (w, smallest)
+    assert _enumerated(code) == (w, smallest)
 
     pinned = np.concatenate(list(_pinned_blocks(code)))
     assert len(pinned) == code.q ** max(code.k - 2, 0)
@@ -594,7 +601,7 @@ def _check_rref_via_parity(code, seeds):
 @given(random_cyclic_codes())
 def test_bch_bound_le_distance_le_witness_weight(code):
     lb = bch_lower_bound(code)
-    exh = _exhaustive_distance(code)
+    exh = _enumerated(code)
     d = minimum_distance(code)
     assert (d.value, d.witness) == exh and d.bch_bound == lb
     weight, witness = _WitnessSearch(code, DistanceConfig()).run(
@@ -622,7 +629,8 @@ def test_resumed_witness_search_equals_a_fresh_one(code):
             assert (again, resumed.sets) == (quick, quick_sets)
             continue
         fresh = _WitnessSearch(code, cfg)
-        assert again == fresh.run(c)
+        weight, word = fresh.run(c)
+        assert again[0] == weight and np.array_equal(again[1], word)
         assert resumed.sets == fresh.sets > quick_sets
 
 
@@ -674,7 +682,7 @@ def test_witness_draw_takes_the_first_lightest_pair(code):
             best_w, best = int(w), pairs[ci, i, j]
     out = np.zeros(code.n, dtype=np.uint8)
     out[perm] = best
-    assert (search.best_w, search.best_c) == (best_w, tuple(out.tolist()))
+    assert search.best_w == best_w and np.array_equal(search.best_c, out)
 
 
 def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
@@ -696,7 +704,7 @@ def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
     d = minimum_distance(code, verify.table_distance_config("D2"))
     assert (d.value, d.method, d.witness) == (
         5, "bch+witness",
-        (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2) + (0,) * 11)
+        (0,) * 11 + (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 2))
     assert calls == []
     # below the floor the same set scores its pairs
     _WitnessSearch(code, DistanceConfig()).run(lb - 1, stall=ISD_STALL)
@@ -728,7 +736,7 @@ HAMMING = [1, 1, 0, 0, 1]  # x^4 + x + 1: the [15, 11, 3] Hamming code
 @example(_binary_15(HAMMING, [1, 1, 1, 1, 1], [1, 1, 1]))  # [15, 5]
 def test_high_rate_enumerable_codes_take_mitm(code):
     d = minimum_distance(code)
-    exh = _exhaustive_distance(code)
+    exh = _enumerated(code)
     assert (d.value, d.witness, d.exact) == (*exh, True)
     assert d.certified_lower == d.value
     high_rate = code.n - code.k < code.k < code.n  # full codes: no search
@@ -752,7 +760,7 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
     assert (ham.n, ham.k, bch_lower_bound(ham)) == (15, 11, 3)
     d = minimum_distance(ham)
     assert (d.method, d.value, d.witness) == ("exhaustive",
-                                              *_exhaustive_distance(ham))
+                                              *_enumerated(ham))
     # levels 3..8 hold 10+10 + 11+55 + 66+66 + 66+220 + 220+220 + 286+715
     # = 1945 keys; level 9 would bring 715+715 = 1430 more, past q^k = 2048
     assert swept == [3, 4, 5, 6, 7, 8]
@@ -767,7 +775,7 @@ def test_infeasible_mitm_level_falls_back_to_enumeration():
     assert minimum_distance(ham).method == "mitm"
     d = minimum_distance(ham, DistanceConfig(mitm_side_limit=9))
     assert (d.method, d.value, d.witness) == ("exhaustive",
-                                              *_exhaustive_distance(ham))
+                                              *_enumerated(ham))
 
 
 def test_search_past_every_budget_ends_unresolved():
@@ -777,3 +785,63 @@ def test_search_past_every_budget_ends_unresolved():
     d = minimum_distance(ham, cfg)
     assert (d.method, d.exact, d.value) == ("bch-only", False, 3)
     assert d.value == d.bch_bound == bch_lower_bound(ham)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes(max_n=80, max_size=None).filter(
+           lambda c: c.k < c.n))
+def test_witness_search_words_take_the_smallest_shift(code):
+    # w_max = 1 takes no MITM level, so the witness is the search's word
+    d = minimum_distance(code, DistanceConfig(full_enum_limit=1, w_max=1))
+    assert d.method in ("bch+witness", "bch-only")
+    st = code.field.subfield_tables()
+    word = np.array(d.witness, dtype=np.uint8)
+    forms = [tuple(st.mul[c, np.roll(word, s)].tolist())
+             for s in range(code.n) for c in range(1, code.q)]
+    assert d.witness == min(forms) and code.contains(word)
+
+
+def test_smallest_shift_compares_across_chunks():
+    # 4200 words of length 255 take two chunks; the one sparse word wins
+    # from either chunk
+    st = REG.field(4, 4).subfield_tables()
+    rng = np.random.default_rng(7)
+    dense = rng.integers(1, 4, (4200, 255)).astype(np.uint8)
+    dense[:, :20] = 0
+    sparse = np.zeros(255, dtype=np.uint8)
+    sparse[[3, 40, 41, 200]] = [2, 3, 1, 2]
+    best = min(tuple(st.mul[c, np.roll(sparse, s)].tolist())
+               for s in range(255) for c in range(1, 4))
+    for at in (0, 4150):
+        words = dense.copy()
+        words[at] = sparse
+        assert _smallest_shift(words, st) == best
+
+
+NOT_IN_HAMMING = np.array([1, 1, 1] + [0] * 12, dtype=np.uint8)  # 1 + x + x^2
+
+
+@pytest.mark.parametrize("engine, owner, attr, fake, cfg", [
+    ("exhaustive enumeration", None, "_exhaustive_distance",
+     lambda code: (3, NOT_IN_HAMMING[None]),
+     DistanceConfig(mitm_side_limit=9)),
+    ("meet-in-the-middle", None, "_mitm_level",
+     lambda code, table, w: NOT_IN_HAMMING[None], DistanceConfig()),
+    ("witness search", _WitnessSearch, "run",
+     lambda self, stop_at, stall=None: (3, NOT_IN_HAMMING),
+     DistanceConfig(full_enum_limit=1)),
+    # a word whose weight is not the one reported
+    ("witness search", _WitnessSearch, "run",
+     lambda self, stop_at, stall=None: (2, NOT_IN_HAMMING),
+     DistanceConfig(full_enum_limit=1)),
+])
+def test_non_codeword_from_any_engine_is_an_internal_error(
+        monkeypatch, engine, owner, attr, fake, cfg):
+    from dickson_codes import cyclic
+
+    ham = _binary_15(HAMMING)
+    assert not ham.contains(NOT_IN_HAMMING)
+    monkeypatch.setattr(owner or cyclic, attr, fake)
+    with pytest.raises(InternalError,
+                       match=f"{engine} produced a non-codeword"):
+        minimum_distance(ham, cfg)

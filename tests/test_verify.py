@@ -11,7 +11,7 @@ from dickson_codes.lfsr import defining_sequence, spectrum
 from dickson_codes.polyring import Poly
 from dickson_codes.registry import default_registry
 from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
-                                  MATCH_WITH_ERRATUM, MISMATCH,
+                                  MATCH_WITH_ERRATUM, MISMATCH, UNRESOLVED,
                                   NoTheoremApplies, _sources_ok,
                                   apply_errata, compare, load_errata,
                                   load_table, predict, process_row,
@@ -273,3 +273,34 @@ def test_row_line_marks_an_inexact_distance_as_a_bound():
     for r in report.rows:
         assert (">=" in r.line()) == (not r.d_exact), r.line()
     assert f"[63,59,>={inexact[0].computed_d}]" in inexact[0].line()
+
+
+def test_shallow_search_is_unresolved_unless_it_contradicts(monkeypatch):
+    # w_max = 1 leaves D1 rows 12 and 19 at d >= 2 against printed d = 3
+    from dataclasses import replace
+
+    shallow = DistanceConfig(w_max=1)
+    report = run_table("D1", cfg=shallow)
+    assert [r.row.index for r in report.rows if r.status == UNRESOLVED] == [
+        12, 19]
+    assert not report.has_mismatch
+
+    found = []
+    compute = verify.minimum_distance
+
+    def recording(code, cfg=None):
+        found.append(compute(code, cfg))
+        return found[-1]
+
+    monkeypatch.setattr(verify, "minimum_distance", recording)
+    row = load_table("D1")[11]
+    assert process_row(row, REG, load_errata(), shallow).status == UNRESOLVED
+    (dist,) = found
+    assert not dist.exact and dist.value == 2 and dist.witness is not None
+    heavy = len(dist.witness) - dist.witness.count(0)
+    assert dist.value <= row.d <= heavy
+    # a proven bound above the printed d, or a verified witness lighter
+    # than it, contradicts the paper
+    for d in (dist.value - 1, heavy + 1):
+        assert process_row(replace(row, d=d), REG, load_errata(),
+                           shallow).status == MISMATCH
