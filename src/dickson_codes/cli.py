@@ -9,6 +9,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -109,7 +110,7 @@ def cmd_code(args) -> int:
     code = code_from_sequence(defining_sequence(F, spec))
     bch = dist = None
     if args.distance != "none" and code.k:
-        cfg = DistanceConfig(w_max=args.wmax)
+        cfg = _with_wmax(DistanceConfig(), args.wmax)
         if args.distance == "bch":
             cfg = DistanceConfig(w_max=1, isd_iterations=0, full_enum_limit=1)
         dist = minimum_distance(code, cfg)
@@ -153,11 +154,14 @@ def _witness_text(F, dist) -> str | None:
                     for c in dist.witness)
 
 
+def _with_wmax(cfg: DistanceConfig, wmax: int | None) -> DistanceConfig:
+    """cfg with ``--wmax`` as its search depth; cfg itself without one."""
+    return cfg if wmax is None else dataclasses.replace(cfg, w_max=wmax)
+
+
 def cmd_table(args) -> int:
     registry = load_registry(args.registry)
-    cfg = table_distance_config(args.id)
-    if args.wmax is not None:
-        cfg.w_max = args.wmax
+    cfg = _with_wmax(table_distance_config(args.id), args.wmax)
     report = run_table(args.id, registry, cfg)
     if args.format == "json":
         print(report.to_json())
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", choices=["exact", "bch", "none"],
                    default="exact")
     p.add_argument("--format", choices=["text", "json", "csv"], default="json")
-    p.add_argument("--wmax", type=_int_at_least(1), default=13)
+    p.add_argument("--wmax", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("table", help="reproduce a printed code table")

@@ -87,7 +87,7 @@ ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
 ISD_STALL = 1  # quick witness pass: iterations allowed without improvement
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceConfig:
     """Tunables for the distance engine; defaults decide every table row."""
 
@@ -120,6 +120,11 @@ class CyclicCode:
     The parity polynomial h = (x^n - 1)/g is found by division, or, when
     the caller already has it, checked by g * h = x^n - 1.  ``g_codes`` and
     ``h_codes`` hold g and h as uint8 code arrays.
+
+    ``zeros``, R = {i in Z_n : g(alpha^i) = 0} sorted, names the code:
+    x^n - 1 is squarefree (gcd(n, q) = 1), so g = prod_{i in R}(x - alpha^i).
+    g(b^q) = g(b)^q makes R a union of q-cyclotomic cosets, so g is summed
+    only at the coset leaders, in one ``VecTables.power_sums`` call.
     """
 
     def __init__(self, field: Field, g: Poly,
@@ -151,6 +156,15 @@ class CyclicCode:
         self.h, self.g_codes, self.h_codes = h, g_codes, h_codes
         self.k = self.n - g.degree
         self.provenance = provenance
+        cosets = coset_table(self.n, self.q)
+        logs = np.array(g.coeffs, dtype=np.int64)
+        exps = np.flatnonzero(logs != ZERO)
+        at_leaders = field.vec_tables().power_sums(  # x^n = 1 at the roots
+            cosets.leaders, exps % self.n, logs[exps])
+        self.zeros = tuple(
+            np.flatnonzero(at_leaders[cosets.index] == ZERO).tolist())
+        if len(self.zeros) != g.degree:  # a squarefree g has deg g zeros
+            raise InternalError("generator has the wrong number of zeros")
 
     def __repr__(self):
         return f"CyclicCode[n={self.n}, k={self.k}, q={self.q}]"
@@ -171,21 +185,6 @@ class CyclicCode:
         for i in range(self.n - self.k):
             H[i, i : i + len(rev)] = rev
         return H
-
-    def root_exponents(self) -> list[int]:
-        """R = {i in Z_n : g(alpha^i) = 0}, sorted.
-
-        g has coefficients in GF(q), so g(b^q) = g(b)^q and R is a union of
-        q-cyclotomic cosets: g(alpha^l) = sum_k g_k alpha^(l k) is summed at
-        every coset leader l in one ``VecTables.power_sums`` call, with the
-        term exponents k taken mod n (x^n = 1 at every root of x^n - 1).
-        """
-        cosets = coset_table(self.n, self.q)
-        logs = np.array(self.g.coeffs, dtype=np.int64)
-        exps = np.flatnonzero(logs != ZERO)
-        at_leaders = self.field.vec_tables().power_sums(
-            cosets.leaders, exps % self.n, logs[exps])
-        return np.flatnonzero(at_leaders[cosets.index] == ZERO).tolist()
 
     # -- membership ----------------------------------------------------------
 
@@ -217,32 +216,19 @@ def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
 def bch_lower_bound(code: CyclicCode) -> int:
     """Largest delta such that the roots of g contain delta-1 consecutive
     exponents (cyclically); the minimum distance is at least delta."""
-    roots = code.root_exponents()
-    run = _longest_cyclic_run(roots, code.n)
-    neg = sorted((-i) % code.n for i in roots)
-    if _longest_cyclic_run(neg, code.n) != run:
+    run = _longest_cyclic_run(set(code.zeros), code.n)
+    if _longest_cyclic_run({-i % code.n for i in code.zeros}, code.n) != run:
         raise InternalError("run length differs between R and -R")
     return run + 1
 
 
-def _longest_cyclic_run(sorted_vals: list[int], n: int) -> int:
-    if not sorted_vals:
-        return 0
-    if len(sorted_vals) == n:
+def _longest_cyclic_run(zeros: set[int], n: int) -> int:
+    """Longest run i, i + 1, ..., i + j - 1 (mod n) inside zeros."""
+    if len(zeros) == n:
         return n
-    runs = []
-    current = 1
-    for prev, cur in zip(sorted_vals, sorted_vals[1:]):
-        if cur == prev + 1:
-            current += 1
-        else:
-            runs.append(current)
-            current = 1
-    runs.append(current)
-    # wrap-around join
-    if sorted_vals[0] == 0 and sorted_vals[-1] == n - 1 and len(runs) > 1:
-        runs[0] += runs.pop()
-    return max(runs)
+    # each run that is not all of Z_n starts at an i with i - 1 missing
+    return max((next(j for j in itertools.count(1) if (i + j) % n not in zeros)
+                for i in zeros if (i - 1) % n not in zeros), default=0)
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -842,7 +828,7 @@ def parity_matrix_from_roots(code: CyclicCode) -> np.ndarray:
     coord = np.empty((n + 1, m), dtype=np.uint8)  # by log, ZERO last
     coord[x] = coeffs
     cosets = coset_table(n, q)
-    leaders = cosets.leaders[np.unique(cosets.index[code.root_exponents()])]
+    leaders = cosets.leaders[np.unique(cosets.index[list(code.zeros)])]
     pos = np.arange(n)
     return np.concatenate([np.zeros((0, n), np.uint8)]  # no roots: k = n
                           + [coord[j * pos % n].T for j in leaders])

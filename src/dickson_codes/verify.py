@@ -4,9 +4,10 @@ reproduction of the printed code tables.
 ``predict`` reads one table, ``_STATEMENTS``: it takes the statement
 whose (p, t, q, h) regime holds, checks its guard, evaluates delta once,
 and runs the statement's literal case split, in which the condition on
-the parameter a selects the stated product of (x-1)^delta and minimal
-polynomials and a distance constraint (exact value, range, or lower
-bound); the dimension is the complement of the product's degree.
+the parameter a selects the zeros of the stated generator (x-1)^delta *
+prod_e M_{alpha^-e} and a distance constraint (exact value, range, or
+lower bound); the dimension is n minus the number of zeros.  x^n - 1 is
+squarefree (gcd(n, q) = 1), so equal zero sets mean equal generators.
 Documented resolutions of inconsistent delta-arguments (see
 data/errata.csv) are baked in.
 
@@ -35,13 +36,15 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import _codes
 from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
                      bch_lower_bound, code_from_sequence, minimum_distance)
 from .dickson import DicksonSpec
 from .galois import Field, InternalError, ZERO
 from .lfsr import defining_sequence, spectrum
-from .polyring import Poly, coset_table, minimal_poly_product
+from .polyring import coset_table
 from .registry import Registry, UnknownEntryError, default_registry
 
 TABLE_IDS = ("D1", "D2", "D3", "D4", "D5", "D7", "E", "MORE")
@@ -91,7 +94,7 @@ def lower(v: int) -> DConstraint:
 class PredictedCode:
     theorem: str
     case: str
-    generator: Poly
+    zeros: tuple[int, ...]  # {i : g(alpha^i) = 0} of the stated g, sorted
     dimension: int
     d_constraint: DConstraint
 
@@ -285,7 +288,8 @@ _STATEMENTS = (
 
 
 def predict(spec: DicksonSpec, F: Field) -> PredictedCode:
-    """Predicted generator, dimension and distance constraint.
+    """Predicted zero set of the generator, dimension and distance
+    constraint.
 
     Raises ValueError when a or the offset is not an element of F, and
     NoTheoremApplies outside the implemented first-kind regimes (order
@@ -299,10 +303,14 @@ def predict(spec: DicksonSpec, F: Field) -> PredictedCode:
         raise NoTheoremApplies("coset structure outside the stated regime")
     delta = F.delta(_poly_in_a(F, a, stmt.delta_arg))
     case, exponents, dcon = stmt.cases(F, h, a, delta)
-    # alpha^0 = 1 is the root of x - 1
-    g = minimal_poly_product(F, [0] * delta + [-e for e in exponents])
-    return PredictedCode(theorem=stmt.theorem, case=case, generator=g,
-                         dimension=F.n - g.degree, d_constraint=dcon)
+    # alpha^0 = 1 is the root of x - 1; M_{alpha^-e} vanishes on -e's coset
+    table = coset_table(F.n, F.q)
+    named = np.zeros(len(table.leaders), dtype=bool)
+    named[table.index[[0] * delta + [-e % F.n for e in exponents]]] = True
+    zeros = np.flatnonzero(named[table.index])
+    return PredictedCode(theorem=stmt.theorem, case=case,
+                         zeros=tuple(zeros.tolist()),
+                         dimension=F.n - len(zeros), d_constraint=dcon)
 
 
 # -- comparison ----------------------------------------------------------------
@@ -333,7 +341,7 @@ def compare(pred: PredictedCode, actual: CyclicCode,
     return CaseReport(
         theorem=pred.theorem,
         case=pred.case,
-        generator_match=pred.generator == actual.g,
+        generator_match=pred.zeros == actual.zeros,
         dimension_match=pred.dimension == actual.k,
         predicted_dimension=pred.dimension,
         actual_dimension=actual.k,
@@ -342,9 +350,8 @@ def compare(pred: PredictedCode, actual: CyclicCode,
     )
 
 
-def sweep_field(F: Field, kind: str, h: int,
-                offset: int = ZERO) -> list[tuple[int, CaseReport]]:
-    """Compare predicted vs pipeline generators for every a in GF(q^m).
+def sweep_field(F: Field, kind: str, h: int) -> list[tuple[int, CaseReport]]:
+    """Compare predicted vs pipeline zero sets for every a in GF(q^m).
 
     Every case runs ``predict``, ``defining_sequence``, ``spectrum`` (whose
     reconstruction check proves the support I) and ``compare``.  The code
@@ -358,7 +365,7 @@ def sweep_field(F: Field, kind: str, h: int,
     codes: dict[tuple[int, ...], CyclicCode] = {}
     out = []
     for a in F.elements():
-        spec = DicksonSpec(kind=kind, h=h, a=a, offset=offset)
+        spec = DicksonSpec(kind=kind, h=h, a=a)
         try:
             pred = predict(spec, F)
         except NoTheoremApplies:

@@ -212,6 +212,19 @@ def test_table_wmax_reaches_the_distance_config(monkeypatch):
         table_distance_config("E"), w_max=2)
 
 
+def test_code_without_wmax_uses_the_default_config(monkeypatch):
+    seen = []
+
+    def record(code, cfg):
+        seen.append(cfg)
+        raise UnknownEntryError("stop here")
+
+    monkeypatch.setattr(cli, "minimum_distance", record)
+    assert main(["code", "--q", "2", "--m", "4", "--kind", "D",
+                 "--order", "3", "--a", "1"]) == 2
+    assert seen == [cyclic.DistanceConfig()]
+
+
 def test_registry_env_override(capsys, tmp_path, monkeypatch):
     from importlib import resources
 

@@ -1,5 +1,6 @@
 """Cyclic code construction, BCH bound, distance engine, weights."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -12,7 +13,8 @@ from hypothesis import strategies as hst
 from dickson_codes import verify
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   _colex_array, _exhaustive_distance,
-                                  _key_table, _lane_bits, _mitm_sides,
+                                  _key_table, _lane_bits,
+                                  _longest_cyclic_run, _mitm_sides,
                                   _mitm_span, _pair_weights,
                                   _pinned_blocks, _rref_codes,
                                   _rref_via_parity, _side_keys,
@@ -22,9 +24,9 @@ from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   minimum_distance, parity_matrix_from_roots,
                                   weight_distribution)
 from dickson_codes.dickson import DicksonSpec
-from dickson_codes.galois import InternalError, ZERO
+from dickson_codes.galois import InternalError, VecTables, ZERO
 from dickson_codes.lfsr import PeriodicSequence, defining_sequence
-from dickson_codes.polyring import (Poly, factor_xn_minus_1,
+from dickson_codes.polyring import (Poly, coset_table, factor_xn_minus_1,
                                     minimal_polynomial)
 from dickson_codes.registry import default_registry
 
@@ -108,6 +110,18 @@ def test_bch_bound_examples():
     assert bch_lower_bound(c3) == 2
     # g = 1 -> full space, bound 1
     assert bch_lower_bound(CyclicCode(f32, Poly.one(f32))) == 1
+
+
+def test_longest_cyclic_run_matches_brute_force():
+    # every subset of Z_n for n <= 9, against the longest window of
+    # consecutive residues that lies inside it
+    for n in range(1, 10):
+        for mask in range(1 << n):
+            zeros = {i for i in range(n) if mask >> i & 1}
+            expected = max((j for j in range(n + 1) for i in range(n)
+                            if all((i + t) % n in zeros for t in range(j))),
+                           default=0)
+            assert _longest_cyclic_run(zeros, n) == expected, (n, zeros)
 
 
 def test_minimum_distance_examples():
@@ -553,7 +567,36 @@ def test_wide_syndrome_keeps_mitm_exact():
 @given(random_cyclic_codes(max_n=80, max_size=None))
 def test_root_exponents_match_per_exponent_evaluation(code):
     per_exponent = [i for i in range(code.n) if code.g(i) == ZERO]
-    assert code.root_exponents() == per_exponent
+    assert list(code.zeros) == per_exponent
+
+
+def test_each_code_sums_g_once_at_the_coset_leaders(monkeypatch):
+    code = build(3, 3, "D", 4, "0")
+    calls = []
+    sums = VecTables.power_sums
+
+    def counting(self, points, *args, **kwargs):
+        calls.append(points)
+        return sums(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(VecTables, "power_sums", counting)
+    again = CyclicCode(code.field, code.g, h=code.h)
+    (points,) = calls
+    assert points.tolist() == coset_table(code.n, code.q).leaders.tolist()
+    assert again.zeros == code.zeros
+    # the BCH bound and the root-evaluation parity rows read the zeros
+    assert bch_lower_bound(again) == bch_lower_bound(code)
+    parity_matrix_from_roots(again)
+    assert len(calls) == 1
+
+
+def test_distance_config_is_frozen_and_always_checked():
+    cfg = DistanceConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.w_max = 0
+    with pytest.raises(ValueError, match="w_max"):
+        dataclasses.replace(cfg, w_max=0)
+    assert cfg == DistanceConfig()
 
 
 @pytest.mark.parametrize("q", DIFF_QS)

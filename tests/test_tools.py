@@ -59,3 +59,15 @@ def test_snapshot_unknown_section_exits_2():
     proc = _snapshot("rows", "nonsense")
     assert proc.returncode == 2
     assert "unknown section 'nonsense'" in proc.stderr and not proc.stdout
+
+
+def test_snapshot_sweep_agrees_on_every_case():
+    proc = _snapshot("sweep")
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 3284
+    for rec in records:
+        assert rec["generator_match"] and rec["dimension_match"], rec
+        assert rec["predicted_dimension"] == rec["actual_dimension"], rec
+    assert ({rec["theorem"] for rec in records}
+            == {s.theorem for s in verify._STATEMENTS})

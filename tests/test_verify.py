@@ -1,14 +1,17 @@
 """Predicted parameters, case comparison, errata, and table running."""
 
+from dataclasses import replace
+
 import pytest
 
 from dickson_codes import verify
 from dickson_codes.cyclic import (CyclicCode, DistanceConfig,
-                                  code_from_sequence, minimum_distance)
+                                  bch_lower_bound, code_from_sequence,
+                                  minimum_distance)
 from dickson_codes.dickson import DicksonSpec
-from dickson_codes.galois import ZERO, InternalError
+from dickson_codes.galois import ZERO, InternalError, VecTables
 from dickson_codes.lfsr import defining_sequence, spectrum
-from dickson_codes.polyring import Poly
+from dickson_codes.polyring import Poly, minimal_poly_product
 from dickson_codes.registry import default_registry
 from dickson_codes.verify import (_STATEMENTS, FLAGGED_ANOMALY, MATCH,
                                   MATCH_WITH_ERRATUM, MISMATCH, UNRESOLVED,
@@ -27,7 +30,7 @@ def test_predict_order3_binary_example():
     assert pred.dimension == 7
     assert pred.d_constraint.describe() == "d >= 5"
     code = code_from_sequence(defining_sequence(F, DicksonSpec(kind="D", h=3, a=F.one)))
-    assert pred.generator == code.g
+    assert pred.zeros == code.zeros
 
 
 def test_predict_order2_example():
@@ -120,6 +123,78 @@ def test_compare_distance_constraint():
     dist = minimum_distance(code, DistanceConfig())
     rep = compare(pred, code, dist)
     assert rep.all_green and rep.d_ok is True
+
+
+ZERO_SET_FIELDS = [(2, 4), (3, 3), (4, 2), (5, 2)]
+
+
+def _predicted_cases(F):
+    """(spec, prediction) for every a at each h whose regime and guard hold."""
+    for h in range(9):
+        try:
+            predict(DicksonSpec(kind="D", h=h, a=ZERO), F)
+        except NoTheoremApplies:  # the regime and its guard ignore a
+            continue
+        for a in F.elements():
+            spec = DicksonSpec(kind="D", h=h, a=a)
+            yield spec, predict(spec, F)
+
+
+@pytest.mark.parametrize("q,m", ZERO_SET_FIELDS)
+def test_predict_multiplies_no_polynomials(monkeypatch, q, m):
+    F = REG.field(q, m)
+
+    def no_product(*args):
+        raise AssertionError("predict multiplied polynomials")
+
+    monkeypatch.setattr(Poly, "__mul__", no_product)
+    cases = list(_predicted_cases(F))
+    assert len(cases) >= F.r  # at least one h with a regime
+    for _, pred in cases:
+        assert list(pred.zeros) == sorted(set(pred.zeros))
+        assert pred.dimension == F.n - len(pred.zeros)
+
+
+@pytest.mark.parametrize("q,m", ZERO_SET_FIELDS)
+def test_generator_of_predicted_zeros_matches_exactly_on_equal_zeros(q, m):
+    # the product of minimal polynomials is the polynomial oracle for the
+    # zero-set comparison, within each case and across cases
+    F = REG.field(q, m)
+    preds, codes = {}, {}
+    for spec, pred in _predicted_cases(F):
+        code = code_from_sequence(defining_sequence(F, spec))
+        assert pred.zeros == code.zeros
+        preds[pred.zeros] = minimal_poly_product(F, pred.zeros)
+        codes[code.zeros] = code
+    assert len(codes) >= 2
+    for zeros, g in preds.items():
+        for code in codes.values():
+            assert (g == code.g) == (zeros == code.zeros)
+
+
+def test_compare_flags_equal_size_zero_sets_that_differ():
+    F = REG.field(2, 4)
+    spec = DicksonSpec(kind="D", h=3, a=F.one)
+    pred = predict(spec, F)
+    code = code_from_sequence(defining_sequence(F, spec))
+    negated = tuple(sorted(-i % F.n for i in pred.zeros))
+    assert negated != pred.zeros and len(negated) == len(pred.zeros)
+    rep = compare(replace(pred, zeros=negated), code)
+    assert not rep.generator_match and rep.dimension_match
+
+
+def test_built_code_answers_from_its_zeros(monkeypatch):
+    F = REG.field(2, 4)
+    spec = DicksonSpec(kind="D", h=3, a=F.one)
+    code = code_from_sequence(defining_sequence(F, spec))
+    pred = predict(spec, F)
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("g evaluated again")
+
+    monkeypatch.setattr(VecTables, "power_sums", no_sums)
+    assert bch_lower_bound(code) == 5
+    assert compare(pred, code).all_green
 
 
 def test_sweep_field_agrees_everywhere():
