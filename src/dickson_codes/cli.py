@@ -104,6 +104,8 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_code(args) -> int:
+    if args.wmax is not None and args.distance != "exact":
+        raise UsageError(f"--wmax needs --distance exact, not {args.distance}")
     t0 = time.perf_counter()
     _, F = _resolve_field(args)
     spec = _resolve_spec(F, args)
@@ -132,7 +134,7 @@ def cmd_code(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        d = dist.value if dist else ""
+        d = "" if dist is None else f"{'' if dist.exact else '>='}{dist.value}"
         print("n,k,d,m,q,a,Bd,Opt")
         print(f"{code.n},{code.k},{d},{F.m},{code.q},"
               f"{F.format_element(spec.a)},,")
@@ -220,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", choices=["exact", "bch", "none"],
                    default="exact")
     p.add_argument("--format", choices=["text", "json", "csv"], default="json")
-    p.add_argument("--wmax", type=_int_at_least(1), default=None)
+    p.add_argument("--wmax", type=_int_at_least(1), default=None,
+                   help="search depth; only with --distance exact")
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("table", help="reproduce a printed code table")

@@ -11,14 +11,13 @@ Distance strategy, in order:
   m_0 = 1 / g_0 and m_{k-1} = 0, so the walk starts from G[0] / g_0 and
   spans rows 1..k-2 (for k = 1 it is the single word g / g_0, of weight
   n).  The minimum weight is exact, and every pinned word of that weight
-  is reported.  A high-rate code (n - k < k) under the cap first tries
-  the MITM sweep below, taking a level only while the levels' summed side
-  sizes stay below q^k; enumeration runs when that budget runs out or a
-  side exceeds the side limit.  Low-rate codes are enumerated directly,
-  which is cheaper for them.
-* **mitm** - otherwise weights w are swept upward from the BCH lower
-  bound, so a level that completes without a match raises the certified
-  bound to w + 1, and the first match is exact.  Each level is a
+  is reported.  One rule picks this walk or the MITM sweep below for
+  every code under the cap: the sweep takes levels from the BCH bound
+  while their summed side sizes stay below q^max(k-2, 0), the words the
+  walk visits, and the code is enumerated if no level taken hits.
+* **mitm** - weights w are swept upward from the BCH lower bound, so a
+  level that completes without a match raises the certified bound to
+  w + 1, and the first match is exact.  Each level is a
   meet-in-the-middle match over syndromes of a pinned split.  The w zero
   gaps of a weight-w word sum to n - w, so the largest is at least
   floor((n - 1) / w) long; some cyclic shift of every weight-w codeword,
@@ -504,12 +503,14 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     return words
 
 
-def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
-                cfg: DistanceConfig, budget: int | None = None):
+def _mitm_sweep(code: CyclicCode, w: int, stop: int | None,
+                cfg: DistanceConfig, budget: float = math.inf):
     """MITM levels from weight w upward, while w <= cfg.w_max and w < stop
     (None: no stop).  A level is taken only while neither side exceeds
-    ``cfg.mitm_side_limit`` and, with a budget, while the summed side
-    sizes of the levels taken so far, this one included, stay below it.
+    ``cfg.mitm_side_limit`` and while the summed side sizes of the
+    levels taken so far, this one included, stay below ``budget``.
+    Under the enumeration cap the budget is q^max(k-2, 0), the pinned
+    walk's size.  H and its key table are built at the first level taken.
 
     Returns (w, hit, blocked).  On a hit, w is the distance and hit the
     level's weight-w codewords; otherwise hit is None and w the first
@@ -520,11 +521,11 @@ def _mitm_sweep(code: CyclicCode, H: np.ndarray, w: int, stop: int | None,
     while w <= cfg.w_max and (stop is None or w < stop):
         sides = _mitm_sides(code.n, code.q, w)
         keys += sum(sides)
-        if (max(sides) > cfg.mitm_side_limit
-                or (budget is not None and keys >= budget)):
+        if max(sides) > cfg.mitm_side_limit or keys >= budget:
             return w, None, True
         if table is None:  # the same H at every level
-            table = _key_table(H, code.field.subfield_tables())
+            table = _key_table(code.parity_check_matrix(),
+                               code.field.subfield_tables())
         hit = _mitm_level(code, table, w)
         if hit is not None:
             return w, hit, False
@@ -768,15 +769,11 @@ def _search(code: CyclicCode, cfg: DistanceConfig):
                                     np.eye(1, code.n, dtype=np.uint8))
 
     lb = bch_lower_bound(code)
-    size = code.q**code.k
-    if size <= cfg.full_enum_limit:
-        if code.n - code.k < code.k:
-            # high rate: the levels up to d usually hold far fewer keys than
-            # the code has codewords, and find the same witness
-            w, hit, _ = _mitm_sweep(code, code.parity_check_matrix(), lb,
-                                    None, cfg, budget=size)
-            if hit is not None:
-                return "mitm", w, lb, ("meet-in-the-middle", w, hit)
+    if code.q**code.k <= cfg.full_enum_limit:
+        w, hit, _ = _mitm_sweep(code, lb, None, cfg,
+                                budget=code.q ** max(code.k - 2, 0))
+        if hit is not None:
+            return "mitm", w, lb, ("meet-in-the-middle", w, hit)
         d, words = _exhaustive_distance(code)
         return "exhaustive", d, lb, ("exhaustive enumeration", d, words)
 
@@ -784,8 +781,7 @@ def _search(code: CyclicCode, cfg: DistanceConfig):
     isd = search.run(lb, stall=ISD_STALL)
     upper = isd[0] if isd else None
 
-    certified, hit, hit_wall = _mitm_sweep(
-        code, code.parity_check_matrix(), lb, upper, cfg)
+    certified, hit, hit_wall = _mitm_sweep(code, lb, upper, cfg)
     if hit is not None:
         return "mitm", certified, lb, ("meet-in-the-middle", certified, hit)
 

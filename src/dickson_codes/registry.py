@@ -97,7 +97,7 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
 def load_registry(path: str | None = None) -> Registry:
     """Load a registry file; defaults to $DICKSON_REGISTRY or the packaged one."""
     if path is None:
-        path = os.environ.get(ENV_VAR)
+        path = os.environ.get(ENV_VAR) or None
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -115,8 +115,8 @@ _default: Registry | None = None
 def default_registry() -> Registry:
     """Shared instance of the default registry (fields cached).
 
-    When ``DICKSON_REGISTRY`` is set the file is loaded fresh each call, so
-    environment changes take effect immediately.
+    When ``DICKSON_REGISTRY`` is not empty the file is loaded fresh each
+    call, so environment changes take effect immediately.
     """
     global _default
     if os.environ.get(ENV_VAR):

@@ -74,6 +74,37 @@ def test_code_command_csv(capsys):
     assert lines[1].startswith("8,3,5,2,3,0")
 
 
+def test_code_command_csv_writes_a_bound_as_a_bound(capsys):
+    argv = ("code", "--q", "2", "--m", "4", "--kind", "D", "--order", "3",
+            "--a", "1", "--format", "csv")
+    status, out, _ = run_cli(capsys, *argv, "--distance", "bch")
+    assert status == 0
+    assert out.splitlines()[1].startswith("15,7,>=5,4,2,1")
+    status, out, _ = run_cli(capsys, *argv)  # exact: the bare value
+    assert status == 0
+    assert out.splitlines()[1].startswith("15,7,5,4,2,1")
+
+
+@pytest.mark.parametrize("mode", ["bch", "none"])
+def test_code_wmax_needs_exact_distance(capsys, monkeypatch, mode):
+    argv = ["code", "--q", "2", "--m", "4", "--kind", "D", "--order", "3",
+            "--a", "1", "--distance", mode]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a field with an unused --wmax")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_registry", no_build)
+        status, out, err = run_cli(capsys, *argv, "--wmax", "4")
+    assert status == 2 and out == ""
+    assert err.startswith("error:") and "--wmax" in err
+    # without --wmax the same mode runs
+    status, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert status == 0
+    if mode == "bch":
+        assert "distance: d >= 5 [bch-only]" in out
+
+
 def test_sequence_command(capsys):
     status, out, _ = run_cli(capsys, "sequence", "--q", "2", "--m", "3",
                              "--kind", "D", "--order", "1", "--a", "0")
@@ -234,6 +265,12 @@ def test_registry_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DICKSON_REGISTRY", str(target))
     status, out, _ = run_cli(capsys, "field", "--q", "2", "--m", "3")
     assert status == 0 and "GF(8)" in out
+
+
+def test_empty_registry_variable_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("DICKSON_REGISTRY", "")
+    status, out, err = run_cli(capsys, "field", "--q", "2", "--m", "4")
+    assert (status, err) == (0, "") and "GF(16) over GF(2)" in out
 
 
 def test_output_is_deterministic(capsys):

@@ -755,9 +755,10 @@ def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
 
 
 def _levels_within_budget(code, lb, d):
-    """Whether the MITM levels lb..d hold fewer keys in all than q^k."""
+    """Whether the MITM levels lb..d hold fewer keys in all than the
+    q^max(k-2, 0) words the pinned walk visits."""
     keys = sum(sum(_mitm_sides(code.n, code.q, w)) for w in range(lb, d + 1))
-    return keys < code.q**code.k
+    return keys < code.q ** max(code.k - 2, 0)
 
 
 def _binary_15(*factors):
@@ -778,15 +779,44 @@ HAMMING = [1, 1, 0, 0, 1]  # x^4 + x + 1: the [15, 11, 3] Hamming code
 @example(_binary_15(HAMMING))
 @example(_binary_15(HAMMING, [1, 1, 1, 1, 1], [1, 1, 1]))  # [15, 5]
 def test_high_rate_enumerable_codes_take_mitm(code):
+    """Every code under the cap, of any rate, takes MITM exactly when the
+    levels from its BCH bound to d fit the pinned walk's budget."""
     d = minimum_distance(code)
     exh = _enumerated(code)
     assert (d.value, d.witness, d.exact) == (*exh, True)
     assert d.certified_lower == d.value
-    high_rate = code.n - code.k < code.k < code.n  # full codes: no search
-    if high_rate and _levels_within_budget(code, d.bch_bound, d.value):
+    if code.k < code.n and _levels_within_budget(  # full codes: no search
+            code, d.bch_bound, d.value):
         assert d.method == "mitm"
     else:
         assert d.method == "exhaustive"
+
+
+@pytest.mark.parametrize("row, args, method", [
+    ("D5/23", (3, 3, "D", 5, "alpha"), "mitm"),  # [26, 13, 8]_3
+    ("D3/9", (4, 2, "D", 3, "alpha"), "exhaustive"),  # [15, 8, 6]_4
+])
+def test_table_rows_take_the_cheaper_engine(row, args, method):
+    code = build(*args)
+    d = minimum_distance(code)
+    assert (d.method, d.value, d.witness) == (method, *_enumerated(code)), row
+    assert _levels_within_budget(code, d.bch_bound, d.value) == (
+        method == "mitm")
+
+
+def test_first_level_over_budget_builds_no_parity_check(monkeypatch):
+    code = _binary_15(HAMMING, [1, 1, 1, 1, 1], [1, 1, 1])
+    assert (code.n, code.k, bch_lower_bound(code)) == (15, 5, 7)
+    # level 7 alone holds 220 + 220 keys, past the 2^3 pinned words
+    assert sum(_mitm_sides(15, 2, 7)) == 440
+
+    def no_parity_check(self):
+        raise AssertionError("built a parity-check matrix")
+
+    monkeypatch.setattr(CyclicCode, "parity_check_matrix", no_parity_check)
+    d = minimum_distance(code)
+    assert (d.method, d.value, d.witness) == ("exhaustive",
+                                              *_enumerated(code))
 
 
 def test_mitm_sweep_stops_at_key_budget(monkeypatch):
@@ -804,11 +834,11 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
     d = minimum_distance(ham)
     assert (d.method, d.value, d.witness) == ("exhaustive",
                                               *_enumerated(ham))
-    # levels 3..8 hold 10+10 + 11+55 + 66+66 + 66+220 + 220+220 + 286+715
-    # = 1945 keys; level 9 would bring 715+715 = 1430 more, past q^k = 2048
-    assert swept == [3, 4, 5, 6, 7, 8]
-    assert _levels_within_budget(ham, 3, 8)
-    assert not _levels_within_budget(ham, 3, 9)
+    # levels 3..6 hold 10+10 + 11+55 + 66+66 + 66+220 = 504 keys; level 7
+    # would bring 220+220 = 440 more, past the q^(k-2) = 512 pinned words
+    assert swept == [3, 4, 5, 6]
+    assert _levels_within_budget(ham, 3, 6)
+    assert not _levels_within_budget(ham, 3, 7)
 
 
 def test_infeasible_mitm_level_falls_back_to_enumeration():

@@ -8,7 +8,7 @@ import pytest
 
 from dickson_codes.galois import (Field, FieldError, FieldSpec, VecTables,
                                   ZERO)
-from dickson_codes.registry import default_registry
+from dickson_codes.registry import default_registry, load_registry
 
 
 def gf8():
@@ -170,6 +170,12 @@ def test_registry_overrides_present():
     # the swapped entries build fields of the right size
     assert reg.field(8, 2).r == 64
     assert reg.field(9, 2).r == 81
+
+
+def test_empty_registry_variable_means_unset(monkeypatch):
+    monkeypatch.setenv("DICKSON_REGISTRY", "")
+    assert load_registry().source == "<packaged>"
+    assert default_registry().field(2, 4).n == 15
 
 
 def test_log_tables_match_scalar_arithmetic():

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from dickson_codes import verify
-from dickson_codes.cyclic import _smallest_shift, code_from_sequence
+from dickson_codes.cyclic import (DistanceConfig, _mitm_sides,
+                                  _smallest_shift, bch_lower_bound,
+                                  code_from_sequence)
 from dickson_codes.dickson import DicksonSpec
 from dickson_codes.galois import ZERO
 from dickson_codes.lfsr import defining_sequence
@@ -53,6 +55,13 @@ def test_snapshot_rows_carry_normal_form_witnesses():
         assert np.count_nonzero(word) == rec["d"] and code.contains(word), key
         st = code.field.subfield_tables()
         assert _smallest_shift(word[None], st) == tuple(rec["witness"]), key
+        if code.q**code.k <= DistanceConfig().full_enum_limit:
+            # MITM exactly where the levels from the BCH bound to d hold
+            # fewer keys than the q^(k-2) words the pinned walk visits
+            keys = sum(sum(_mitm_sides(code.n, code.q, w))
+                       for w in range(bch_lower_bound(code), rec["d"] + 1))
+            fits = keys < code.q ** max(code.k - 2, 0)
+            assert rec["method"] == ("mitm" if fits else "exhaustive"), key
 
 
 def test_snapshot_unknown_section_exits_2():
