@@ -45,13 +45,15 @@ Distance strategy, in order:
   resumes the same search, within the full iteration budget, so no set
   is reduced twice.  Each set is reduced from the parity-check matrix's
   n - k rows, scanning from the right: by matroid duality its check
-  columns are the complement of the generator's information set, so the
-  systematic generator is the one reducing the generator's k rows gives.
-  Single rows and every pair R[i] + c * R[j] are scored.  The search
+  columns are the complement of the generator's information set, and
+  the systematic generator is read off the reduced H's information block
+  A, (n - k) x k: row i is 1 at the i-th information column and -A[:, i]
+  on the checks.  Single rows and every pair R[i] + c * R[j] are scored
+  from A alone, and only the lightest word is written out.  The search
   stops at a proven floor (the BCH bound or completed MITM levels), so
   when a single row already weighs the floor no pair can beat it and the
-  pairs are not scored.  The pairs' weights count where the non-pivot
-  parts P[i] and -c * P[j] differ: codes are packed as ceil(log2 q) bit
+  pairs are not scored.  A pair's weight counts where the columns
+  A[:, i] and -c * A[:, j] differ: codes are packed as ceil(log2 q) bit
   planes of 64-bit words, and the count is the popcount of the planes'
   XORs, ORed together.
 
@@ -102,12 +104,18 @@ class DistanceConfig:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    value: int
-    exact: bool
+    value: int  # d, or for ``bch-only`` the certified lower bound
     method: str
     bch_bound: int
     witness: tuple[int, ...] | None = None  # subfield codes, length n
-    certified_lower: int = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.method != "bch-only"
+
+    @property
+    def certified_lower(self) -> int:  # every method certifies its value
+        return self.value
 
     def describe(self) -> str:
         return f"{'d = ' if self.exact else 'd >= '}{self.value} [{self.method}]"
@@ -504,13 +512,15 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
 
 
 def _mitm_sweep(code: CyclicCode, w: int, stop: int | None,
-                cfg: DistanceConfig, budget: float = math.inf):
+                cfg: DistanceConfig, budget: float = math.inf,
+                H: np.ndarray | None = None):
     """MITM levels from weight w upward, while w <= cfg.w_max and w < stop
     (None: no stop).  A level is taken only while neither side exceeds
     ``cfg.mitm_side_limit`` and while the summed side sizes of the
     levels taken so far, this one included, stay below ``budget``.
     Under the enumeration cap the budget is q^max(k-2, 0), the pinned
-    walk's size.  H and its key table are built at the first level taken.
+    walk's size.  The key table is built at the first level taken, from
+    ``H`` or, if None, from a parity-check matrix built then.
 
     Returns (w, hit, blocked).  On a hit, w is the distance and hit the
     level's weight-w codewords; otherwise hit is None and w the first
@@ -524,8 +534,9 @@ def _mitm_sweep(code: CyclicCode, w: int, stop: int | None,
         if max(sides) > cfg.mitm_side_limit or keys >= budget:
             return w, None, True
         if table is None:  # the same H at every level
-            table = _key_table(code.parity_check_matrix(),
-                               code.field.subfield_tables())
+            if H is None:
+                H = code.parity_check_matrix()
+            table = _key_table(H, code.field.subfield_tables())
         hit = _mitm_level(code, table, w)
         if hit is not None:
             return w, hit, False
@@ -594,30 +605,6 @@ def _rref_codes(M: np.ndarray, st: SubfieldTables):
     return A[:r], pivots
 
 
-def _rref_via_parity(H: np.ndarray, perm: np.ndarray, st: SubfieldTables):
-    """``_rref_codes(G[:, perm], st)`` for the code with parity-check matrix
-    H, from a reduction of H's n - k rows instead of G's k.
-
-    The pivots of G[:, perm], taken greedily left to right, are the
-    complement of the greedy pivots of H[:, perm] taken right to left
-    (matroid duality).  Reducing H[:, perm[::-1]] gives those check columns
-    J with the identity on them; the systematic generator is the identity
-    on the information columns I and minus the transposed I-columns of the
-    reduced H on J.
-    """
-    n = H.shape[1]
-    Rh, rev_pivots = _rref_codes(H[:, perm[::-1]], st)
-    Rh = Rh[:, ::-1]  # back to perm order
-    checks = [n - 1 - c for c in rev_pivots]  # row i of Rh is 1 at checks[i]
-    info = np.ones(n, dtype=bool)
-    info[checks] = False
-    pivots = np.flatnonzero(info)
-    R = np.zeros((len(pivots), n), dtype=np.uint8)
-    R[np.arange(len(pivots)), pivots] = 1
-    R[:, checks] = st.neg[Rh[:, pivots]].T
-    return R, pivots.tolist()
-
-
 class _WitnessSearch:
     """Best-effort low-weight codewords via random information sets, as a
     search that can be resumed.
@@ -663,40 +650,55 @@ class _WitnessSearch:
         return self.best_w, self.best_c
 
     def _draw(self, st: SubfieldTables, floor: int) -> None:
-        """Reduce one random information set; score its single rows and,
-        unless one of them already weighs ``floor``, every row pair with a
-        free scalar on the second row."""
+        """Reduce one random information set and score the rows of its
+        systematic generator: single rows and, unless one of them already
+        weighs ``floor``, every row pair with a free scalar on the second.
+
+        H's permuted columns are reduced from the right, so its pivots are
+        the check columns and the rest, ``info``, is the information set a
+        left-to-right reduction of G picks (matroid duality).  With
+        A = Rh[:, info], generator row i is 1 at info[i] and -A[:, i] on
+        the pivots, so it weighs 1 + nnz(A[:, i]); only the lightest word
+        is written out, straight into code coordinates."""
         n, k = self.code.n, self.code.k
-        perm = self.rng.permutation(n)
-        R, pivots = _rref_via_parity(self.H, perm, st)
-        if R.shape[0] != k:
-            # G has rank k and H rank n - k for every cyclic code
+        cols = self.rng.permutation(n)[::-1]  # code coordinate per column
+        Rh, checks = _rref_codes(self.H[:, cols], st)
+        if len(checks) != n - k:  # H has rank n - k for every cyclic code
             raise InternalError("information set of the wrong size")
+        info = np.ones(n, dtype=bool)
+        info[checks] = False
+        # ascending in permuted order, G's row order, for the tie-breaks
+        info = np.flatnonzero(info)[::-1]
+        A = Rh[:, info]
         best_w = n + 1 if self.best_w is None else self.best_w
-        best_c = self.best_c
-        weights = np.count_nonzero(R, axis=1)
+        rows = None  # the best word's (generator row, scalar) terms
+        weights = 1 + np.count_nonzero(A, axis=0)
         i = int(np.argmin(weights))
         if weights[i] < best_w:
-            best_w, best_c = int(weights[i]), _unpermute(R[i], perm, n)
+            best_w, rows = int(weights[i]), [(i, 1)]
         if best_w > floor:  # else the row is a minimum word: no pair beats it
-            nonpiv = np.ones(n, dtype=bool)
-            nonpiv[pivots] = False
-            pw = _pair_weights(R[:, nonpiv], st)
+            pw = _pair_weights(A.T, st)  # -A has the zeros of A
             diag = np.arange(k)
             pw[:, diag, diag] = n + 1  # i = j is no pair
             # the first minimum in (c, i, j) order: an equal weight found
             # later never replaces the best word
             c, i0, j0 = np.unravel_index(np.argmin(pw), pw.shape)
             if pw[c, i0, j0] < best_w:
-                full = st.add[R[i0], st.mul[c + 1, R[j0]]]
-                best_w, best_c = int(pw[c, i0, j0]), _unpermute(full, perm, n)
-        self.best_w, self.best_c = best_w, best_c
+                best_w, rows = int(pw[c, i0, j0]), [(i0, 1), (j0, c + 1)]
+        if rows is not None:
+            word = np.zeros(n, dtype=np.uint8)
+            check = np.zeros(n - k, dtype=np.uint8)
+            for i, c in rows:
+                word[cols[info[i]]] = c
+                check = st.add[check, st.mul[c, A[:, i]]]
+            word[cols[checks]] = st.neg[check]
+            self.best_w, self.best_c = best_w, word
 
 
 def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
-    """Weights of R[i] + c * R[j] for every row pair of a systematic R with
-    non-pivot part P (k x L), as an array [c - 1, i, j]: 2 for the pivots
-    plus the nonzero count of P[i] + c * P[j].
+    """Weights of R[i] + c * R[j] for every row pair of a systematic R whose
+    non-pivot part is P or -P (k x L), as an array [c - 1, i, j]: 2 for the
+    pivots plus the nonzero count of P[i] + c * P[j].
 
     That sum is nonzero at l iff P[i, l] != -c * P[j, l].  Each code's
     ceil(log2 q) bits are packed as bit planes, 64 columns to a word; two
@@ -724,12 +726,6 @@ def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
     return 2 + count.reshape(k, q - 1, k).transpose(1, 0, 2)
 
 
-def _unpermute(row: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint8)
-    out[perm] = row
-    return out
-
-
 # -- top-level distance -------------------------------------------------------
 
 
@@ -754,8 +750,7 @@ def minimum_distance(code: CyclicCode,
         if witness is None or not code.contains(
                 np.array(witness, dtype=np.uint8)):
             raise InternalError(f"{engine} produced a non-codeword")
-    return DistanceResult(value, method != "bch-only", method, bch_bound=lb,
-                          witness=witness, certified_lower=value)
+    return DistanceResult(value, method, bch_bound=lb, witness=witness)
 
 
 def _search(code: CyclicCode, cfg: DistanceConfig):
@@ -781,7 +776,8 @@ def _search(code: CyclicCode, cfg: DistanceConfig):
     isd = search.run(lb, stall=ISD_STALL)
     upper = isd[0] if isd else None
 
-    certified, hit, hit_wall = _mitm_sweep(code, lb, upper, cfg)
+    certified, hit, hit_wall = _mitm_sweep(code, lb, upper, cfg,
+                                           H=search.H)
     if hit is not None:
         return "mitm", certified, lb, ("meet-in-the-middle", certified, hit)
 

@@ -12,12 +12,11 @@ from hypothesis import strategies as hst
 
 from dickson_codes import verify
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
-                                  _colex_array, _exhaustive_distance,
-                                  _key_table, _lane_bits,
-                                  _longest_cyclic_run, _mitm_sides,
-                                  _mitm_span, _pair_weights,
-                                  _pinned_blocks, _rref_codes,
-                                  _rref_via_parity, _side_keys,
+                                  DistanceResult, _colex_array,
+                                  _exhaustive_distance, _key_table,
+                                  _lane_bits, _longest_cyclic_run,
+                                  _mitm_sides, _mitm_span, _pair_weights,
+                                  _pinned_blocks, _rref_codes, _side_keys,
                                   _smallest_shift,
                                   _WitnessSearch, bch_lower_bound,
                                   code_from_sequence, codeword_blocks,
@@ -247,11 +246,11 @@ def test_hard_rows_resolve_exactly(monkeypatch):
 
     reduced = []
 
-    def counted(H, perm, st):
-        reduced.append(perm.tobytes())
-        return _rref_via_parity(H, perm, st)
+    def counted(M, st):  # M: the permuted parity-check matrix
+        reduced.append(M.tobytes())
+        return _rref_codes(M, st)
 
-    monkeypatch.setattr(cyclic, "_rref_via_parity", counted)
+    monkeypatch.setattr(cyclic, "_rref_codes", counted)
     c = build(5, 3, "D", 11, "1")  # row D7/14
     d = minimum_distance(c, DistanceConfig())
     assert (c.n, c.k, d.value, d.exact) == (124, 96, 13, True)
@@ -599,45 +598,18 @@ def test_distance_config_is_frozen_and_always_checked():
     assert cfg == DistanceConfig()
 
 
-@pytest.mark.parametrize("q", DIFF_QS)
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(data=hst.data(),
-       seeds=hst.lists(hst.integers(0, 2**32 - 1), min_size=3, max_size=3))
-def test_rref_via_parity_matches_generator_reduction(q, data, seeds):
-    code = data.draw(random_cyclic_codes(max_n=80, max_size=None, qs=(q,)))
-    _check_rref_via_parity(code, seeds)
-
-
-def test_rref_via_parity_on_both_rates():
-    F = REG.field(2, 5)
-    g = Poly.from_ints(F, [1, 0, 1, 0, 0, 1])  # x^5 + x^2 + 1
-    for gen in (g, Poly.xn_minus_1(F, 31) // g):  # [31, 26] and [31, 5]
-        _check_rref_via_parity(CyclicCode(F, gen.monic()), [1, 2, 3])
-
-
 def test_isd_rank_loss_is_an_internal_error(monkeypatch):
     from dickson_codes import cyclic
 
-    def lossy(H, perm, st):
-        R, pivots = _rref_via_parity(H, perm, st)
+    def lossy(M, st):
+        R, pivots = _rref_codes(M, st)
         return R[:-1], pivots[:-1]
 
-    monkeypatch.setattr(cyclic, "_rref_via_parity", lossy)
+    monkeypatch.setattr(cyclic, "_rref_codes", lossy)
     code = build(2, 5, "D", 3, "1")
     assert code.n - code.k < code.k
     with pytest.raises(InternalError, match="information set"):
         _WitnessSearch(code, DistanceConfig()).run(1)
-
-
-def _check_rref_via_parity(code, seeds):
-    st = code.field.subfield_tables()
-    G, H = code.generator_matrix(), code.parity_check_matrix()
-    for seed in seeds:
-        perm = np.random.default_rng(seed).permutation(code.n)
-        R, pivots = _rref_via_parity(H, perm, st)
-        R_g, pivots_g = _rref_codes(G[:, perm], st)
-        assert pivots == pivots_g
-        assert R.dtype == R_g.dtype and np.array_equal(R, R_g)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -699,15 +671,28 @@ def test_pair_weights_match_table_count(q, k, L, seed):
         assert np.array_equal(pws[c - 1], np.count_nonzero(comb, axis=2) + 2)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(random_cyclic_codes(max_n=80, max_size=None).filter(
-           lambda c: 2 <= c.k < c.n))
-def test_witness_draw_takes_the_first_lightest_pair(code):
-    # reference: the single rows, then every R[i] + c * R[j] in (c, i, j)
-    # order, each counted directly; a word replaces the best only when it
-    # is strictly lighter, so among equal pairs the first one stays
-    st, k = code.field.subfield_tables(), code.k
+def _binary_31(*, high_rate):
+    """The [31, 26] binary cyclic code of x^5 + x^2 + 1, or its [31, 5]
+    dual-rate partner generated by (x^31 - 1) / (x^5 + x^2 + 1)."""
+    F = REG.field(2, 5)
+    g = Poly.from_ints(F, [1, 0, 1, 0, 0, 1])
+    if not high_rate:
+        g = (Poly.xn_minus_1(F, 31) // g).monic()
+    return CyclicCode(F, g)
+
+
+def _check_witness_draw(code, seed=None):
+    # reference: the generator reduced on the same permutation, its single
+    # rows, then every R[i] + c * R[j] in (c, i, j) order, each counted
+    # directly; a word replaces the best only when it is strictly
+    # lighter, so among equal pairs the first one stays.  The draw itself
+    # reduces the parity-check matrix, so agreeing with the reference
+    # also checks that reduction against the generator's.  Without a seed
+    # the search keeps the RNG it seeds from the code.
+    st = code.field.subfield_tables()
     search = _WitnessSearch(code, DistanceConfig())
+    if seed is not None:
+        search.rng = np.random.default_rng(seed)
     rng = np.random.default_rng()
     rng.bit_generator.state = search.rng.bit_generator.state
     perm = rng.permutation(code.n)
@@ -726,6 +711,28 @@ def test_witness_draw_takes_the_first_lightest_pair(code):
     out = np.zeros(code.n, dtype=np.uint8)
     out[perm] = best
     assert search.best_w == best_w and np.array_equal(search.best_c, out)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), seed=hst.integers(0, 2**32 - 1))
+def test_rref_via_parity_matches_generator_reduction(q, data, seed):
+    code = data.draw(random_cyclic_codes(
+        max_n=80, max_size=None, qs=(q,)).filter(lambda c: 2 <= c.k < c.n))
+    _check_witness_draw(code, seed)
+
+
+def test_rref_via_parity_on_both_rates():
+    for high_rate in (True, False):  # [31, 26] and [31, 5]
+        for seed in (1, 2, 3):
+            _check_witness_draw(_binary_31(high_rate=high_rate), seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes(max_n=80, max_size=None).filter(
+           lambda c: 2 <= c.k < c.n))
+def test_witness_draw_takes_the_first_lightest_pair(code):
+    _check_witness_draw(code)
 
 
 def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
@@ -817,6 +824,47 @@ def test_first_level_over_budget_builds_no_parity_check(monkeypatch):
     d = minimum_distance(code)
     assert (d.method, d.value, d.witness) == ("exhaustive",
                                               *_enumerated(code))
+
+
+def test_each_distance_builds_at_most_one_parity_check(monkeypatch):
+    # the witness search's H feeds the MITM sweep above the cap; below it
+    # the sweep builds H only if it takes a level
+    built, per_distance = [], []
+    parity_check = CyclicCode.parity_check_matrix
+    distance = verify.minimum_distance
+
+    def counted(self):
+        built.append(self)
+        return parity_check(self)
+
+    def one_distance(code, cfg=None):
+        before = len(built)
+        result = distance(code, cfg)
+        per_distance.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(CyclicCode, "parity_check_matrix", counted)
+    monkeypatch.setattr(verify, "minimum_distance", one_distance)
+    errata = verify.load_errata()
+    for table_id in verify.TABLE_IDS:
+        for row in verify.load_table(table_id):
+            verify.process_row(row, REG, errata)
+    assert len(per_distance) == 141 and max(per_distance) == 1
+    assert len(built) == 120
+
+
+def test_distance_result_derives_exactness_and_certified_bound():
+    exact = DistanceResult(5, "bch+witness", 5, witness=(1, 1, 1, 1, 1))
+    assert (exact.exact, exact.certified_lower) == (True, 5)
+    assert exact.describe() == "d = 5 [bch+witness]"
+    bound = DistanceResult(3, "bch-only", 3)
+    assert (bound.exact, bound.certified_lower, bound.witness) == (
+        False, 3, None)
+    assert bound.describe() == "d >= 3 [bch-only]"
+    assert [f.name for f in dataclasses.fields(DistanceResult)] == [
+        "value", "method", "bch_bound", "witness"]
+    with pytest.raises(AttributeError):
+        bound.exact = True
 
 
 def test_mitm_sweep_stops_at_key_budget(monkeypatch):

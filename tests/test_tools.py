@@ -1,5 +1,6 @@
 """The repository's command-line tools, run as a user runs them."""
 
+import ast
 import json
 import os
 import subprocess
@@ -80,3 +81,13 @@ def test_snapshot_sweep_agrees_on_every_case():
         assert rec["predicted_dimension"] == rec["actual_dimension"], rec
     assert ({rec["theorem"] for rec in records}
             == {s.theorem for s in verify._STATEMENTS})
+
+
+def test_package_has_no_bare_assert():
+    # guard checks raise: ``python -O`` strips every assert statement
+    found = []
+    for path in sorted((ROOT / "src" / "dickson_codes").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
