@@ -79,7 +79,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _codes
-from .dickson import DicksonSpec
 from .galois import Field, InternalError, SubfieldTables, ZERO
 from .lfsr import MinimalPolyResult, PeriodicSequence, minimal_poly_dft, minimal_poly_gcd
 from .polyring import Poly, coset_table
@@ -135,7 +134,6 @@ class CyclicCode:
     """
 
     def __init__(self, field: Field, g: Poly,
-                 provenance: DicksonSpec | None = None,
                  h: Poly | None = None):
         if g.field is not field:
             raise ValueError("generator polynomial belongs to a different field")
@@ -162,7 +160,6 @@ class CyclicCode:
                 raise ValueError("g * h is not x^n - 1")
         self.h, self.g_codes, self.h_codes = h, g_codes, h_codes
         self.k = self.n - g.degree
-        self.provenance = provenance
         cosets = coset_table(self.n, self.q)
         logs = np.array(g.coeffs, dtype=np.int64)
         exps = np.flatnonzero(logs != ZERO)
@@ -216,8 +213,7 @@ def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
     res_dft: MinimalPolyResult = minimal_poly_dft(s)
     if res_gcd.poly != res_dft.poly:
         raise InternalError("gcd and spectral minimal polynomials disagree")
-    return CyclicCode(s.field, res_gcd.poly, provenance=s.provenance,
-                      h=res_gcd.cofactor)
+    return CyclicCode(s.field, res_gcd.poly, h=res_gcd.cofactor)
 
 
 def bch_lower_bound(code: CyclicCode) -> int:

@@ -6,7 +6,9 @@ f_{h+2} = x*f_{h+1} - a*f_h (D_0 = 2, D_1 = x; E_0 = 1, E_1 = x).  The
 closed form is the primary constructor; the recurrence is kept as the
 cross-check used by the identity tests.
 
-The shifted expansion f(x+1) is the only composition the pipeline needs.
+The pipeline never composes polynomials: it evaluates f at the points
+alpha^i + 1, whose logs are the Zech table.  The shifted expansion f(x+1)
+(``shift_by_one``) only serves ``dickson --shifted``.
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ sequence values) use this embedded representation.  GF(q) arrays
 (polynomials in the fast path, codewords, G and H) use the compact uint8
 codes 0..q-1 of :class:`SubfieldTables`, the one place that knows that
 encoding; its tables are built by array operations from the GF(p) digit
-vectors of :class:`VecTables`, and need q <= 256.  Arrays indexed by log
-(the Zech and trace tables) live in :class:`LogTables`.  Each table set
-is built on first use.
+vectors of :class:`VecTables`, and need q <= 256; they are built on
+first use.  :class:`VecTables` is the one set of GF(r) tables, built with
+the field by array operations: the digit vectors of the powers of alpha
+(by doubling), their inverse map, and the arrays indexed by log (the
+Zech and trace tables).
 """
 
 from __future__ import annotations
@@ -119,60 +121,13 @@ class Field:
         self.ext_deg = spec.t * spec.m
         # Step between consecutive subfield logs; alpha^step generates GF(q)*.
         self.subfield_step = (self.r - 1) // (self.q - 1)
-        self._build_tables()
         self._subfield_tables = None
-        self._vec = None
-        self._log_tables = None
+        self._vec = VecTables(self)
+        # the scalar add reads Python ints faster than array entries
+        self._zech = self._vec.zech.tolist()
         #: Minimal polynomials by q-cyclotomic coset leader, filled on
         #: demand by :func:`dickson_codes.polyring.minimal_polynomial`.
         self.coset_polys: dict = {}
-
-    # -- construction ---------------------------------------------------
-
-    def _build_tables(self):
-        p, deg, r = self.p, self.ext_deg, self.r
-        # Polynomial residues are packed base p, constant digit least
-        # significant.  Walking alpha^k for k = 0..r-2 must enumerate every
-        # nonzero residue exactly once; any repeat or early return to 1
-        # means the modulus is reducible or non-primitive.
-        # -leading^{-1} * (lower part of modulus), used to reduce x^deg.
-        lead_inv = pow(self.prim_poly[-1] % p, p - 2, p) if p > 2 else 1
-        reduce_digits = [(-lead_inv * c) % p for c in self.prim_poly[:-1]]
-
-        exp = [0] * (r - 1)
-        log = [ZERO] * r
-        val = [0] * deg
-        val[0] = 1  # alpha^0 = 1
-        for k in range(r - 1):
-            code = 0
-            for i in range(deg - 1, -1, -1):
-                code = code * p + val[i]
-            if code == 0 or log[code] != ZERO:
-                raise FieldError(
-                    f"polynomial {poly_str(self.prim_poly)} over GF({p}) is "
-                    "reducible or not primitive")
-            exp[k] = code
-            log[code] = k
-            # multiply val by x and reduce
-            lead = val[deg - 1]
-            for i in range(deg - 1, 0, -1):
-                val[i] = (val[i - 1] + lead * reduce_digits[i]) % p
-            val[0] = (lead * reduce_digits[0]) % p
-        # alpha^(r-1) must close the cycle back to 1
-        if val[0] != 1 or any(val[1:]):
-            raise FieldError(
-                f"alpha does not have order r-1 for {poly_str(self.prim_poly)}")
-        self._exp = exp
-        self._log = log
-
-        # Zech table: zech[k] = log(1 + alpha^k), ZERO when 1 + alpha^k = 0.
-        one_plus = [ZERO] * (r - 1)
-        for k in range(r - 1):
-            code = exp[k]
-            low = code % p
-            summed = code - low + (low + 1) % p
-            one_plus[k] = log[summed]
-        self._zech = one_plus
 
     # -- arithmetic ------------------------------------------------------
 
@@ -274,14 +229,7 @@ class Field:
     # -- vectorized kernel tables ------------------------------------------
 
     def vec_tables(self) -> "VecTables":
-        if self._vec is None:
-            self._vec = VecTables(self)
         return self._vec
-
-    def log_tables(self) -> "LogTables":
-        if self._log_tables is None:
-            self._log_tables = LogTables(self)
-        return self._log_tables
 
     # -- formatting --------------------------------------------------------
 
@@ -408,26 +356,64 @@ class SubfieldTables:
 
 
 class VecTables:
-    """GF(p)-coordinate tables for vectorized GF(r) addition.
+    """The GF(r) tables, built by array operations when the field is.
 
-    ``exp_vec[k]`` holds the base-p digit vector of alpha^k; summing digit
-    vectors mod p realizes field addition in bulk, and ``rep_to_log`` maps
-    a packed digit vector back to a discrete log.
+    ``exp_vec[k]`` holds the GF(p) digit vector of alpha^k, constant digit
+    first, in an unsigned dtype that holds p - 1; summing digit vectors
+    mod p realizes field addition in bulk, and ``rep_to_log`` maps a
+    digit vector packed base p back to a discrete log.  Two arrays are
+    indexed by log: ``zech[k] = log(1 + alpha^k)`` is the Zech table, so
+    it is also the log of every point alpha^k + 1, and ``trace`` has
+    n + 1 entries: ``trace[k]`` is the log of Tr(alpha^k) and the last one
+    is ZERO, so ``trace[logs]`` maps ZERO = -1 to ZERO as well.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        p, deg, r = field.p, field.ext_deg, field.r
+        p, deg, n = field.p, field.ext_deg, field.n
         self.p, self.deg = p, deg
-        codes = np.array(field._exp, dtype=np.int64)
-        weights = p ** np.arange(deg, dtype=np.int64)
-        self.pack_weights = weights
-        digs = (codes[:, None] // weights[None, :]) % p
-        self.exp_vec = digs.astype(np.uint8)  # (r-1, deg)
-        rep_to_log = np.full(r, ZERO, dtype=np.int64)
-        rep_to_log[codes] = np.arange(r - 1)
-        self.rep_to_log = rep_to_log
-        self._packed = None
+        # Row k of pows is the digit vector of x^k mod prim_poly.  With
+        # rows 0..L-1 known, step is the matrix of multiplication by x^L
+        # (row i is x^(L+i), i < deg): rows 0..L-1 times step are rows
+        # L..2L-1, and step squared is the matrix for x^(2L).  The modulus
+        # is monic, so x^deg is minus its lower coefficients.
+        pows = np.zeros((n + 1, deg), dtype=np.int64)
+        pows[0, 0] = 1
+        step = np.eye(deg, k=1, dtype=np.int64)
+        step[-1] = [-c % p for c in field.prim_poly[:-1]]
+        L = 1
+        while L <= n:
+            more = min(L, n + 1 - L)
+            pows[L : L + more] = pows[:more] @ step % p
+            step = step @ step % p
+            L *= 2
+        self.pack_weights = p ** np.arange(deg, dtype=np.int64)
+        codes = pows @ self.pack_weights
+        self.rep_to_log = np.full(field.r, ZERO, dtype=np.int64)
+        self.rep_to_log[codes[:n]] = np.arange(n)
+        # x^0..x^(n-1) must be n distinct nonzero residues and x^n = 1;
+        # otherwise the modulus is reducible or not primitive
+        if np.count_nonzero(self.rep_to_log[1:] != ZERO) != n or codes[n] != 1:
+            raise FieldError(
+                f"polynomial {poly_str(field.prim_poly)} over GF({p}) is "
+                "reducible or not primitive")
+        self.exp_vec = pows[:n].astype(np.min_scalar_type(p - 1))
+        low = pows[:n, 0]
+        self.zech = self.rep_to_log[codes[:n] - low + (low + 1) % p]
+
+        # One int64 word per digit vector, digit i in a lane of b bits at
+        # bit b*i.  A block of at most (2^b - 1) // (p - 1) columns keeps
+        # every lane of a sum of words below 2^b, so no lane overflows.
+        b = 63 // deg
+        self._mask = (1 << b) - 1
+        self._shifts = b * np.arange(deg, dtype=np.int64)
+        self._words = (pows[:n] << self._shifts).sum(axis=1)
+        self._max_cols = self._mask // (p - 1)
+
+        # Tr(alpha^k) = sum_i alpha^(k q^i)
+        conjugates = [pow(field.q, i, n) for i in range(field.m)]
+        self.trace = np.append(self.power_sums(
+            np.arange(n), conjugates, np.zeros(field.m, dtype=np.int64)), ZERO)
 
     def logs_of_vecs(self, vecs: np.ndarray) -> np.ndarray:
         packed = (vecs.astype(np.int64) @ self.pack_weights)
@@ -436,70 +422,27 @@ class VecTables:
     #: (row, column) pairs per gathered block of :meth:`power_sums`
     _BLOCK = 1 << 20
 
-    def _packing(self):
-        """Digit vectors packed into int64 words, built on first use.
-
-        Each digit takes a lane of b bits, wide enough for a sum of n
-        digits, so summing packed words adds every lane at once.  Returns
-        the lane mask and one (digits, words, shifts) triple per word:
-        ``words[k]`` packs the digits ``digits`` of alpha^k, lane i
-        shifted by ``shifts[i]``.  Small fields need one word per element.
-        """
-        if self._packed is None:
-            b = (self.field.n * (self.p - 1)).bit_length()
-            lanes = max(1, 63 // b)
-            triples = []
-            for lo in range(0, self.deg, lanes):
-                digits = slice(lo, min(self.deg, lo + lanes))
-                shifts = b * np.arange(digits.stop - lo, dtype=np.int64)
-                words = (self.exp_vec[:, digits].astype(np.int64)
-                         << shifts).sum(axis=1)
-                triples.append((digits, words, shifts))
-            self._packed = ((1 << b) - 1, triples)
-        return self._packed
-
     def power_sums(self, rows: np.ndarray, cols: np.ndarray,
                    col_logs: np.ndarray, sign: int = 1) -> np.ndarray:
         """Logs of sign * sum_c alpha^(col_logs[c] + rows[r] * cols[c]),
         one per row; |rows|, cols and col_logs lie below n.
 
         The sums run over packed GF(p) digit vectors, in blocks of at most
-        ``_BLOCK`` (row, column) pairs and at most n columns, so that no
-        lane overflows and memory stays bounded on large fields.
+        ``_BLOCK`` (row, column) pairs and few enough columns that no lane
+        overflows, so that memory stays bounded on large fields.
         """
         n, p = self.field.n, self.p
-        mask, triples = self._packing()
         # exponents stay below n^2 + n: int32 on all but the largest fields
         dt = np.int32 if n * (n + 1) < 2**31 else np.int64
         rows, cols, col_logs = (np.asarray(v, dtype=dt)
                                 for v in (rows, cols, col_logs))
         acc = np.zeros((len(rows), self.deg), dtype=np.int64)
-        c_step = max(1, min(len(cols), n, self._BLOCK))
+        c_step = max(1, min(len(cols), self._max_cols, self._BLOCK))
         r_step = max(1, self._BLOCK // c_step)
         for r0 in range(0, len(rows), r_step):
             r = rows[r0 : r0 + r_step, None]
             for c0 in range(0, len(cols), c_step):
                 c = slice(c0, c0 + c_step)
-                exps = (col_logs[c] + r * cols[c]) % n
-                for digits, words, shifts in triples:
-                    sums = words[exps].sum(axis=1)[:, None]
-                    acc[r0 : r0 + r_step, digits] += (sums >> shifts) & mask
+                sums = self._words[(col_logs[c] + r * cols[c]) % n].sum(axis=1)
+                acc[r0 : r0 + r_step] += (sums[:, None] >> self._shifts) & self._mask
         return self.logs_of_vecs(sign * acc % p)
-
-
-class LogTables:
-    """Per-field arrays indexed by discrete log (ZERO = -1).
-
-    ``zech[k] = log(1 + alpha^k)`` is the Zech table as an array, so it
-    is also the log of every point alpha^k + 1.  ``trace`` has n + 1
-    entries: ``trace[k]`` is the log of Tr(alpha^k) and the last one is
-    ZERO, so ``trace[logs]`` maps ZERO = -1 to ZERO as well.
-    """
-
-    def __init__(self, field: Field):
-        n, m = field.n, field.m
-        self.zech = np.array(field._zech, dtype=np.int64)
-        # Tr(alpha^k) = sum_i alpha^(k q^i)
-        conjugates = [pow(field.q, i, n) for i in range(m)]
-        self.trace = np.append(field.vec_tables().power_sums(
-            np.arange(n), conjugates, np.zeros(m, dtype=np.int64)), ZERO)

@@ -95,14 +95,14 @@ def defining_sequence(field: Field, spec: DicksonSpec) -> PeriodicSequence:
     x_i is ZERO takes f(0) = c_0.
     """
     f = dickson_poly(spec, field)
-    lt, vt = field.log_tables(), field.vec_tables()
+    vt = field.vec_tables()
     exps = np.array([k for k, c in enumerate(f.coeffs) if c != ZERO],
                     dtype=np.int64)
     coeffs = np.array(f.coeffs, dtype=np.int64)[exps]
     # x^k = x^(k mod n) at every nonzero point
-    values = vt.power_sums(lt.zech, exps % field.n, coeffs)
-    values[lt.zech == ZERO] = f[0]
-    return PeriodicSequence(field=field, values=tuple(lt.trace[values].tolist()),
+    values = vt.power_sums(vt.zech, exps % field.n, coeffs)
+    values[vt.zech == ZERO] = f[0]
+    return PeriodicSequence(field=field, values=tuple(vt.trace[values].tolist()),
                             provenance=spec)
 
 

@@ -34,6 +34,12 @@ def test_reducible_polynomial_rejected():
     assert "1 + x + x^2 + x^3" in str(exc.value)
 
 
+def test_zero_constant_term_rejected():
+    # x^3 + x = x(x + 1)^2: the powers of x reach 0 in the quotient ring
+    with pytest.raises(FieldError, match=r"x \+ x\^3"):
+        Field(FieldSpec(p=2, t=1, m=3, prim_poly=(0, 1, 0, 1)))
+
+
 def test_non_primitive_polynomial_rejected():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5
     with pytest.raises(FieldError):
@@ -178,14 +184,54 @@ def test_empty_registry_variable_means_unset(monkeypatch):
     assert default_registry().field(2, 4).n == 15
 
 
-def test_log_tables_match_scalar_arithmetic():
+def test_vec_tables_match_scalar_arithmetic():
     reg = default_registry()
-    for q, m in [(2, 1), (2, 4), (3, 3), (4, 2), (8, 2), (9, 2), (9, 1)]:
-        f = reg.field(q, m)
-        lt = f.log_tables()
-        assert len(lt.trace) == f.n + 1 and lt.trace[ZERO] == ZERO
-        assert lt.trace[:f.n].tolist() == [f.trace(x) for x in range(f.n)]
-        assert lt.zech.tolist() == [f.add(f.one, x) for x in range(f.n)]
+    fields = [reg.field(q, m) for q, m in
+              [(2, 1), (2, 4), (3, 3), (4, 2), (8, 2), (9, 2), (9, 1)]]
+    fields.append(Field(FieldSpec(257, 1, 1, (254, 1))))  # digits up to 256
+    for f in fields:
+        vt = f.vec_tables()
+        assert len(vt.trace) == f.n + 1 and vt.trace[ZERO] == ZERO
+        assert vt.trace[:f.n].tolist() == [f.trace(x) for x in range(f.n)]
+        assert vt.zech.tolist() == [f.add(f.one, x) for x in range(f.n)]
+
+
+def _walk_powers(f):
+    """Digit vectors of x^0..x^(n-1) mod the field's modulus, one
+    multiplication by x at a time."""
+    val, rows = [1] + [0] * (f.ext_deg - 1), []
+    for _ in range(f.n):
+        rows.append(val)
+        lead = val[-1]
+        val = [(d - lead * c) % f.p
+               for d, c in zip([0] + val[:-1], f.prim_poly)]
+    assert val == rows[0]  # x^n = 1
+    return np.array(rows, dtype=np.int64)
+
+
+def test_vec_tables_match_a_multiply_by_x_walk():
+    reg = default_registry()
+    fields = [reg.field(q, m) for q, m in sorted(reg.pairs())]
+    fields += [Field(FieldSpec(257, 1, 1, (254, 1))),
+               # x^16 + x^5 + x^3 + x^2 + 1
+               Field(FieldSpec(2, 1, 16, (1, 0, 1, 1, 0, 1) + (0,) * 10
+                               + (1,)))]
+    for f in fields:
+        vt = f.vec_tables()
+        pows = _walk_powers(f)
+        assert vt.exp_vec.tolist() == pows.tolist()
+        log = {v: k for k, v in enumerate(map(tuple, pows.tolist()))}
+        assert len(log) == f.n
+
+        def logs(vecs):
+            return [log.get(v, ZERO) for v in map(tuple, vecs.tolist())]
+
+        one_plus = pows.copy()
+        one_plus[:, 0] = (one_plus[:, 0] + 1) % f.p
+        assert vt.zech.tolist() == logs(one_plus)
+        conjugates = sum(pows[np.arange(f.n) * pow(f.q, i, f.n) % f.n]
+                         for i in range(f.m)) % f.p
+        assert vt.trace.tolist() == logs(conjugates) + [ZERO]
 
 
 def test_codes_of_logs_rejects_values_outside_the_subfield():
@@ -240,8 +286,8 @@ def test_subfield_over_256_symbols_is_a_field_error():
 
 @pytest.mark.parametrize("block", [1 << 20, 7])
 def test_power_sums_match_scalar_sums(monkeypatch, block):
-    # GF(2^8) packs its 8 digits into two words; block 7 splits both the
-    # rows and the columns of the exponent grid into many blocks
+    # block 7 splits both the rows and the columns of the exponent grid
+    # into many blocks
     monkeypatch.setattr(VecTables, "_BLOCK", block)
     reg = default_registry()
     rng = random.Random(17)
@@ -257,3 +303,20 @@ def test_power_sums_match_scalar_sums(monkeypatch, block):
                 for c, lg in zip(cols, col_logs):
                     acc = f.add(acc, (lg + r * c) % f.n)
                 assert value == (acc if sign == 1 else f.neg(acc))
+
+
+@pytest.mark.parametrize("spec", [
+    FieldSpec(2, 8, 1, (1, 0, 1, 1, 1, 0, 0, 0, 1)),  # 7-bit lanes
+    FieldSpec(3, 5, 1, (1, 2, 0, 0, 0, 1)),           # 12-bit lanes
+])
+def test_power_sums_do_not_overflow_a_lane(spec):
+    # more copies of one term than a lane of b = 63 // deg bits holds
+    f = Field(spec)
+    copies = 2 ** (63 // f.ext_deg) + 1
+    col, col_log = 3, 7
+    rows = np.arange(f.n)
+    got = f.vec_tables().power_sums(rows, [col] * copies, [col_log] * copies)
+    times = f.scalar(copies)
+    assert times != ZERO
+    assert got.tolist() == [f.mul(times, (col_log + r * col) % f.n)
+                            for r in range(f.n)]
