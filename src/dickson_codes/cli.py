@@ -14,8 +14,8 @@ import json
 import sys
 import time
 
-from .cyclic import (DistanceConfig, bch_lower_bound, code_from_sequence,
-                     minimum_distance)
+from .cyclic import (DistanceConfig, DistanceResult, bch_lower_bound,
+                     code_from_sequence, minimum_distance)
 from .dickson import DicksonSpec, dickson_poly, shift_by_one
 from .galois import FieldError, ZERO, poly_str
 from .lfsr import defining_sequence, minimal_poly_dft, minimal_poly_gcd
@@ -111,14 +111,13 @@ def cmd_code(args) -> int:
     spec = _resolve_spec(F, args)
     code = code_from_sequence(defining_sequence(F, spec))
     bch = dist = None
-    if args.distance != "none" and code.k:
-        cfg = _with_wmax(DistanceConfig(), args.wmax)
-        if args.distance == "bch":
-            cfg = DistanceConfig(w_max=1, isd_iterations=0, full_enum_limit=1)
-        dist = minimum_distance(code, cfg)
+    if args.distance == "exact" and code.k:
+        dist = minimum_distance(code, _with_wmax(DistanceConfig(), args.wmax))
         bch = dist.bch_bound
     elif code.k:
         bch = bch_lower_bound(code)
+        if args.distance == "bch":
+            dist = DistanceResult(bch, "bch-only", bch)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     payload = {
         "n": code.n, "k": code.k, "q": code.q, "m": F.m,

@@ -30,10 +30,14 @@ Distance strategy, in order:
   reported.  Keys are syndromes packed one GF(p) digit to a lane of 1
   (p = 2) or ceil(log2(2p - 1)) bits, in as many 64-bit words as they
   need; one lane-wise kernel sums them for every q.  Sides are joined on
-  word 0: A's keys alone are sorted, B's are screened by a bloom filter
-  and a binary search, and only for the B keys that matched are the A
-  entries looked up; candidate pairs are then confirmed on the other
-  words.
+  word 0 and generated in chunks of ``MITM_CHUNK`` keys.  A's keys alone
+  are sorted, and each A chunk sets its bits in a one-hash bloom filter
+  packed eight to a byte, so a level holds A's keys, their sorted copy,
+  the filter and a few chunks.  B's chunks are screened by the filter
+  and their survivors, sorted, by a binary search.  Only for the B keys
+  that matched are the A entries looked up, by a chunked binary search
+  of A's keys into the distinct matched keys; candidate pairs are then
+  confirmed on the other words.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -85,6 +89,7 @@ from .polyring import Poly, coset_table
 
 ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
 ISD_STALL = 1  # quick witness pass: iterations allowed without improvement
+MITM_CHUNK = 1 << 16  # keys generated at a time on either MITM side
 
 
 @dataclass(frozen=True)
@@ -422,7 +427,21 @@ def _side_keys(table: np.ndarray, pos: np.ndarray, coeffs: np.ndarray,
 
 def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
     mixed = keys * np.uint64(0x9E3779B97F4A7C15)
-    return (mixed >> np.uint64(64 - bits)).astype(np.int64)
+    mixed >>= np.uint64(64 - bits)
+    return mixed.view(np.int64)
+
+
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit i of a byte
+
+
+def _bloom_add(bloom: np.ndarray, keys: np.ndarray, bits: int) -> None:
+    """Set the bits of ``keys`` in a filter of 2^bits bits packed eight to
+    a ``uint8``: sorted addresses come in one run per byte, and each run's
+    bits are ORed together with one ``reduceat``."""
+    addr = np.sort(_bloom_addr(keys, bits))
+    byte = addr >> 3
+    runs = np.flatnonzero(np.diff(byte, prepend=-1))
+    bloom[byte[runs]] |= np.bitwise_or.reduceat(_BIT[addr & 7], runs)
 
 
 def _mitm_level(code: CyclicCode, table: np.ndarray,
@@ -434,9 +453,11 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
 
-    Both sides draw from 1..``_mitm_span(n, w)``.  The join sorts A's keys
-    alone; which A entries carry a matched key is looked up only after the
-    probe, for the B keys that really matched.
+    Both sides draw from 1..``_mitm_span(n, w)`` and are generated in
+    chunks of about ``MITM_CHUNK`` keys, so the working memory is A's
+    keys, their sorted copy, a bit-packed bloom filter and a few chunks.
+    Which A entries carry a matched key is looked up only after the probe,
+    for the B keys that really matched.
     """
     st = code.field.subfield_tables()
     q, n, p = code.q, code.n, st.p
@@ -451,41 +472,52 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     Ka, Kb = len(coeff_a), len(coeff_b)
 
     def key_chunks(pos, coeffs):
-        """(first support, word-0 keys) per chunk of supports, C-ordered
+        """(first key index, word-0 keys) per chunk of supports, C-ordered
         with the coefficient index minor."""
-        step = max(1, (1 << 20) // len(coeffs))
+        step = max(1, MITM_CHUNK // len(coeffs))
         for lo in range(0, len(pos), step):
             keys = _side_keys(table[:, :, 0], pos[lo : lo + step, None],
                               coeffs[None], p)
-            yield lo, keys.reshape(-1)
+            yield lo * len(coeffs), keys.reshape(-1)
 
-    # A is never the larger side: materialize it; its keys are negated
-    # syndromes, so a match means the two sides sum to zero
-    keys_a = np.concatenate([k for _, k in key_chunks(pos_a, st.neg[coeff_a])])
-    keys_sorted = np.sort(keys_a)
-
-    # one-hash bloom filter sized to A: screens out almost every probe key
-    # before the binary search, which dominates otherwise
+    # A is never the larger side: hold its keys; they are negated
+    # syndromes, so a match means the two sides sum to zero.  A one-hash
+    # bloom filter sized to A screens out almost every B key before the
+    # binary search, which dominates otherwise.
+    keys_a = np.empty(len(pos_a) * Ka, dtype=np.uint64)
     bloom_bits = min(max(len(keys_a).bit_length() + 4, 12), 26)
-    bloom = np.zeros(1 << bloom_bits, dtype=bool)
-    bloom[_bloom_addr(keys_sorted, bloom_bits)] = True
+    bloom = np.zeros(1 << (bloom_bits - 3), dtype=np.uint8)
+    for lo, keys in key_chunks(pos_a, st.neg[coeff_a]):
+        keys_a[lo : lo + len(keys)] = keys
+        _bloom_add(bloom, keys, bloom_bits)
+    keys_sorted = np.sort(keys_a)
 
     hits_b, hit_keys = [], []
     for lo, keys_b in key_chunks(pos_b, coeff_b):
-        maybe = np.flatnonzero(bloom[_bloom_addr(keys_b, bloom_bits)])
+        addr = _bloom_addr(keys_b, bloom_bits)
+        maybe = np.flatnonzero(bloom[addr >> 3] & _BIT[addr & 7])
+        # sorted probes walk A's sorted keys in order, which keeps the
+        # search in cache; most survivors are false positives
+        maybe = maybe[np.argsort(keys_b[maybe])]
         probe = keys_b[maybe]
         left = np.searchsorted(keys_sorted, probe)
-        # most bloom survivors are false positives
         real = keys_sorted[np.minimum(left, len(keys_sorted) - 1)] == probe
-        hits_b.append(maybe[real] + lo * Kb)
+        hits_b.append(maybe[real] + lo)
         hit_keys.append(probe[real])
     matched = np.concatenate(hit_keys)
     if not len(matched):
         return None
-    # the A entries of the matched keys, grouped by key: one entry per
-    # (A, B) pair matching on word 0
-    ai = np.flatnonzero(np.isin(keys_a, matched))
-    ai = ai[np.argsort(keys_a[ai])]
+    # the A entries of the matched keys, found chunk by chunk against the
+    # few distinct matched keys and grouped by key: one entry per (A, B)
+    # pair matching on word 0
+    uniq = np.unique(matched)
+    ai = []
+    for lo in range(0, len(keys_a), MITM_CHUNK):
+        chunk = keys_a[lo : lo + MITM_CHUNK]
+        at = np.minimum(np.searchsorted(uniq, chunk), len(uniq) - 1)
+        ai.append(np.flatnonzero(uniq[at] == chunk) + lo)
+    ai = np.concatenate(ai)
+    ai = ai[np.argsort(keys_a[ai], kind="stable")]
     grouped = keys_a[ai]
     left = np.searchsorted(grouped, matched, side="left")
     counts = np.searchsorted(grouped, matched, side="right") - left

@@ -31,16 +31,24 @@ def test_code_command_json(capsys):
     assert payload["generator"].split() == "1 1 1 0 1 0 0 0 1".split()
 
 
-def test_code_command_bch_distance(capsys):
-    status, out, _ = run_cli(capsys, "code", "--q", "2", "--m", "4",
-                             "--kind", "D", "--order", "3", "--a", "1",
-                             "--distance", "bch")
-    assert status == 0
-    payload = json.loads(out)
-    assert (payload["bch_bound"], payload["d"]) == (5, 5)
-    assert payload["d_exact"] is False
-    assert payload["d_method"] == "bch-only"
-    assert payload["witness"] is None
+def test_code_command_bch_distance(capsys, monkeypatch):
+    def no_parity_check(self):
+        raise AssertionError("built a parity-check matrix")
+
+    # the bound alone: no search, so no parity-check matrix
+    monkeypatch.setattr(cyclic.CyclicCode, "parity_check_matrix",
+                        no_parity_check)
+    for m, order, bound in [(4, 3, 5),  # [15, 7]
+                            (3, 7, 1)]:  # k = n: the bound 1, still a bound
+        status, out, _ = run_cli(capsys, "code", "--q", "2", "--m", str(m),
+                                 "--kind", "D", "--order", str(order),
+                                 "--a", "1", "--distance", "bch")
+        assert status == 0
+        payload = json.loads(out)
+        assert (payload["bch_bound"], payload["d"]) == (bound, bound)
+        assert payload["d_exact"] is False
+        assert payload["d_method"] == "bch-only"
+        assert payload["witness"] is None
 
 
 def test_code_command_computes_bch_bound_once(capsys, monkeypatch):

@@ -1,16 +1,19 @@
 """Cyclic code construction, BCH bound, distance engine, weights."""
 
+import collections
 import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from dickson_codes import verify
+from dickson_codes import cyclic, verify
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
                                   DistanceResult, _colex_array,
                                   _exhaustive_distance, _key_table,
@@ -242,8 +245,6 @@ def test_parity_check_constructions_agree():
 
 def test_hard_rows_resolve_exactly(monkeypatch):
     # BCH-tight rows certified by witness search alone
-    from dickson_codes import cyclic
-
     reduced = []
 
     def counted(M, st):  # M: the permuted parity-check matrix
@@ -420,6 +421,19 @@ def test_contains_says_no_to_non_codewords(data, code):
 @example(_non_reversible(2, 3, [1, 1, 0, 1]))  # x^3 + x + 1
 @example(_non_reversible(3, 2, [2, 1, 1]))  # x^2 + x + 2
 def test_mitm_matches_exhaustive_on_random_cyclic_codes(code):
+    _check_mitm_matches_exhaustive(code)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(random_cyclic_codes())
+def test_mitm_join_in_small_chunks_matches_exhaustive(code):
+    # 24-key chunks, so that side A, side B and the bloom build span
+    # several chunks on all but the smallest levels
+    with mock.patch.object(cyclic, "MITM_CHUNK", 24):
+        _check_mitm_matches_exhaustive(code)
+
+
+def _check_mitm_matches_exhaustive(code):
     exh = _enumerated(code)
     d = minimum_distance(code)
     assert (d.value, d.witness) == exh
@@ -599,8 +613,6 @@ def test_distance_config_is_frozen_and_always_checked():
 
 
 def test_isd_rank_loss_is_an_internal_error(monkeypatch):
-    from dickson_codes import cyclic
-
     def lossy(M, st):
         R, pivots = _rref_codes(M, st)
         return R[:-1], pivots[:-1]
@@ -736,8 +748,6 @@ def test_witness_draw_takes_the_first_lightest_pair(code):
 
 
 def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
-    from dickson_codes import cyclic
-
     calls = []
 
     def counting(P, st):
@@ -868,8 +878,6 @@ def test_distance_result_derives_exactness_and_certified_bound():
 
 
 def test_mitm_sweep_stops_at_key_budget(monkeypatch):
-    from dickson_codes import cyclic
-
     swept = []
 
     def empty_level(code, table, w):
@@ -887,6 +895,54 @@ def test_mitm_sweep_stops_at_key_budget(monkeypatch):
     assert swept == [3, 4, 5, 6]
     assert _levels_within_budget(ham, 3, 6)
     assert not _levels_within_budget(ham, 3, 7)
+
+
+def _pinned_words(code, w):
+    """Every codeword of weight w with c_0 = 1 and no position past
+    ``_mitm_span(n, w)``, by enumeration: what one MITM level finds."""
+    words = np.concatenate(list(codeword_blocks(code)))
+    keep = ((np.count_nonzero(words, axis=1) == w) & (words[:, 0] == 1)
+            & ~words[:, _mitm_span(code.n, w) + 1 :].any(axis=1))
+    return sorted(map(tuple, words[keep].tolist()))
+
+
+@pytest.mark.parametrize("q, m, g, w", [
+    (2, 4, HAMMING, 7),  # [15, 11, 3]_2, 220 keys a side
+    (3, 2, [1, 0, 1], 5),  # x^2 + 1: [8, 6, 2]_3, 60 keys a side
+])
+def test_mitm_level_returns_every_pair_of_a_repeated_key(
+        monkeypatch, q, m, g, w):
+    F = REG.field(q, m)
+    code = CyclicCode(F, Poly.from_ints(F, g))
+    monkeypatch.setattr(cyclic, "MITM_CHUNK", 8)
+    assert min(_mitm_sides(code.n, q, w)) > 4 * cyclic.MITM_CHUNK
+    table = _key_table(code.parity_check_matrix(), F.subfield_tables())
+    words = cyclic._mitm_level(code, table, w)
+    assert sorted(map(tuple, words.tolist())) == _pinned_words(code, w)
+    # several words share their B half (all but the first ceil(w/2)
+    # positions), so one B key matched several A entries of the same key
+    halves = collections.Counter()
+    for word in words:
+        b = word.copy()
+        b[np.flatnonzero(word)[: (w + 1) // 2]] = 0
+        halves[b.tobytes()] += 1
+    assert max(halves.values()) >= 3
+
+
+def test_mitm_level_memory_stays_bounded():
+    # row D7/11, [63, 47, 8]_4: level 7 holds 669,708 keys a side and,
+    # as d = 8, finds nothing (the witness search supplies d's word)
+    code = build(4, 3, "D", 11, "0")
+    assert (code.n, code.k) == (63, 47)
+    table = _key_table(code.parity_check_matrix(),
+                       code.field.subfield_tables())
+    tracemalloc.start()
+    try:
+        assert cyclic._mitm_level(code, table, 7) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
 
 
 def test_infeasible_mitm_level_falls_back_to_enumeration():
@@ -958,8 +1014,6 @@ NOT_IN_HAMMING = np.array([1, 1, 1] + [0] * 12, dtype=np.uint8)  # 1 + x + x^2
 ])
 def test_non_codeword_from_any_engine_is_an_internal_error(
         monkeypatch, engine, owner, attr, fake, cfg):
-    from dickson_codes import cyclic
-
     ham = _binary_15(HAMMING)
     assert not ham.contains(NOT_IN_HAMMING)
     monkeypatch.setattr(owner or cyclic, attr, fake)
