@@ -5,16 +5,17 @@ Distance strategy, in order:
 
 * **exhaustive** - if q^k fits under the enumeration cap, the codewords
   are enumerated in one pass: a table spanning some generator rows is
-  translated by a q-ary Gray-code walk over the others.  Only q^(k-2) of
-  them are needed (k >= 2).  A codeword c = m(x) g(x) of weight w < n has
-  a cyclic shift, times a scalar, with c_0 = 1 and c_{n-1} = 0, that is
-  m_0 = 1 / g_0 and m_{k-1} = 0, so the walk starts from G[0] / g_0 and
-  spans rows 1..k-2 (for k = 1 it is the single word g / g_0, of weight
-  n).  The minimum weight is exact, and every pinned word of that weight
-  is reported.  One rule picks this walk or the MITM sweep below for
-  every code under the cap: the sweep takes levels from the BCH bound
-  while their summed side sizes stay below q^max(k-2, 0), the words the
-  walk visits, and the code is enumerated if no level taken hits.
+  translated by each word of a second table spanning the others.  Only
+  q^(k-2) of them are needed (k >= 2).  A codeword c = m(x) g(x) of
+  weight w < n has a cyclic shift, times a scalar, with c_0 = 1 and
+  c_{n-1} = 0, that is m_0 = 1 / g_0 and m_{k-1} = 0, so the walk is
+  G[0] / g_0 plus the span of rows 1..k-2 (for k = 1 it is the single
+  word g / g_0, of weight n).  The minimum weight is exact, and every
+  pinned word of that weight is reported.  One rule picks this walk or
+  the MITM sweep below for every code under the cap: the sweep takes
+  levels from the BCH bound while their summed side sizes stay below
+  q^max(k-2, 0), the words the walk visits, and the code is enumerated
+  if no level taken hits.
 * **mitm** - weights w are swept upward from the BCH lower bound, so a
   level that completes without a match raises the certified bound to
   w + 1, and the first match is exact.  Each level is a
@@ -182,18 +183,11 @@ class CyclicCode:
 
     def generator_matrix(self) -> np.ndarray:
         """k x n matrix of subfield codes; rows are x^i * g."""
-        G = np.zeros((self.k, self.n), dtype=np.uint8)
-        for i in range(self.k):
-            G[i, i : i + len(self.g_codes)] = self.g_codes
-        return G
+        return _shifted_rows(self.g_codes, self.k, self.n)
 
     def parity_check_matrix(self) -> np.ndarray:
         """(n-k) x n parity-check from the parity polynomial h (Toeplitz)."""
-        rev = self.h_codes[::-1]
-        H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
-        for i in range(self.n - self.k):
-            H[i, i : i + len(rev)] = rev
-        return H
+        return _shifted_rows(self.h_codes[::-1], self.n - self.k, self.n)
 
     # -- membership ----------------------------------------------------------
 
@@ -205,6 +199,14 @@ class CyclicCode:
             raise ValueError(f"word length {len(codes)} != n = {self.n}")
         return _codes.cyclic_product_is_zero(codes, self.h_codes,
                                              self.field.subfield_tables())
+
+
+def _shifted_rows(codes: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """rows x n uint8 matrix whose row i is ``codes`` starting at column i."""
+    M = np.zeros((rows, n), dtype=np.uint8)
+    for i in range(rows):
+        M[i, i : i + len(codes)] = codes
+    return M
 
 
 def code_from_sequence(s: PeriodicSequence) -> CyclicCode:
@@ -262,38 +264,37 @@ def _pinned_blocks(code: CyclicCode):
     return _span_blocks(G[1 : code.k - 1], st.mul[st.inv[G[0, 0]], G[0]], st)
 
 
+def _span(rows: np.ndarray, base: np.ndarray,
+          st: SubfieldTables) -> np.ndarray:
+    """base + every GF(q) combination of ``rows``, column-major: column
+    sum_i c_i q^i of the (n, q^len(rows)) table is base + sum_i c_i rows[i],
+    so row j holds coordinate j of every word."""
+    table = base[:, None]
+    for row in rows:
+        scaled = st.mul[row]  # (n, q): scaled[j, c] = row[j] * c
+        table = st.add[table[:, None, :], scaled[:, :, None]].reshape(
+            len(base), -1)
+    return table
+
+
 def _span_blocks(rows: np.ndarray, base: np.ndarray, st: SubfieldTables):
     """Yield base + every GF(q) combination of ``rows`` exactly once, as
     uint8 blocks of subfield codes with shape (block, n).
 
-    The span of the first ``a`` rows (q^a <= 2^16) is built once as a
-    table.  The span of the others is walked in q-ary Gray-code order from
-    ``base``, one scaled row added per step, and each block is the table
-    translated by the current outer word.  The working set is that table
-    plus one block, however many rows there are.
+    The span of the first ``a`` rows (q^a <= 2^16) is the low table, and
+    base plus the span of the others is the outer table, both by
+    ``_span``; each block is the low table translated by one column of the
+    outer table.  Under the default enumeration cap (q^k <= 2^22) the
+    outer table holds at most max(1, 64 / q) words for the pinned walk
+    (k - 2 rows) and fewer than 64 q for ``weight_distribution`` (k rows),
+    so the working set is the low table plus one block.
     """
     q, n, k = st.q, len(base), len(rows)
     a = 0
     while a < k and q ** (a + 1) <= _SPAN_ROWS:
         a += 1
-    # column-major: column j of every block is one table lookup per entry
-    low = np.zeros((n, 1), dtype=np.uint8)
-    for row in rows[:a]:
-        scaled = st.mul[row]  # (n, q): scaled[j, c] = row[j] * c
-        low = st.add[low[:, None, :], scaled[:, :, None]].reshape(n, -1)
-    outer = base
-    digits = [0] * (k - a)
-    for step in range(q ** (k - a)):
-        if step:
-            # modular Gray code: digit j = (trailing zeros of step in base
-            # q) advances by one, so the outer word gains one scaled row
-            j, rest = 0, step
-            while rest % q == 0:
-                j, rest = j + 1, rest // q
-            nxt = (digits[j] + 1) % q
-            delta = st.add[nxt, st.neg[digits[j]]]
-            outer = st.add[outer, st.mul[delta, rows[a + j]]]
-            digits[j] = nxt
+    low = _span(rows[:a], np.zeros(n, dtype=np.uint8), st)
+    for outer in _span(rows[a:], base, st).T:
         shift = st.add[outer]  # (n, q): shift[j, x] = outer[j] + x
         block = np.empty_like(low)
         for j in range(n):

@@ -185,12 +185,9 @@ class Field:
         return (x * e) % (self.r - 1)
 
     def scalar(self, c: int) -> int:
-        """The prime-subfield element c * 1 (c an integer, reduced mod p)."""
-        c %= self.p
-        acc = ZERO
-        for _ in range(c):
-            acc = self.add(acc, 0)
-        return acc
+        """The prime-subfield element c * 1 (c an integer, reduced mod p):
+        its digit vector (c mod p, 0, ..., 0) packs to c mod p."""
+        return int(self._vec.rep_to_log[c % self.p])
 
     def elements(self):
         """All r elements, zero first then alpha^0 .. alpha^(r-2)."""

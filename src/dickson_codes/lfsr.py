@@ -139,8 +139,6 @@ def spectrum(s: PeriodicSequence) -> Spectrum:
     vt = F.vec_tables()
     s_logs = np.array(s.values, dtype=np.int64)
     t_idx = np.flatnonzero(s_logs != ZERO)
-    if len(t_idx) == 0:
-        return Spectrum(field=F, coeffs=(ZERO,) * n, support=())
     cosets = coset_table(n, F.q)
     # c_j = -sum_t s_t alpha^{-jt} at the leaders
     lead = vt.power_sums(-cosets.leaders, t_idx, s_logs[t_idx], sign=-1)

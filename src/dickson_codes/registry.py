@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .galois import Field, FieldSpec
+from .galois import Field, FieldError, FieldSpec
 
 ENV_VAR = "DICKSON_REGISTRY"
 
@@ -84,7 +84,10 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
         except ValueError:
             raise RegistryError(
                 f"{source}:{lineno}: malformed registry record: {raw!r}") from None
-        spec = FieldSpec(p=p, t=t, m=m, prim_poly=coeffs)
+        try:
+            spec = FieldSpec(p=p, t=t, m=m, prim_poly=coeffs)
+        except FieldError as exc:
+            raise RegistryError(f"{source}:{lineno}: {exc}") from None
         key = (spec.q, m)
         if key in entries and not override:
             raise RegistryError(

@@ -34,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .cyclic import (CyclicCode, DistanceConfig, DistanceResult,
 from .dickson import DicksonSpec
 from .galois import Field, InternalError, ZERO
 from .lfsr import defining_sequence, spectrum
-from .polyring import coset_table
+from .polyring import Poly, coset_table
 from .registry import Registry, UnknownEntryError, default_registry
 
 TABLE_IDS = ("D1", "D2", "D3", "D4", "D5", "D7", "E", "MORE")
@@ -117,15 +117,6 @@ def _is_p_power(h: int, p: int) -> bool:
     while h % p == 0:
         h //= p
     return h == 1
-
-
-def _poly_in_a(F: Field, a: int, coeffs: Sequence[int]) -> int:
-    """Evaluate an integer-coefficient polynomial at a (constant first)."""
-    acc = ZERO
-    for i, c in enumerate(coeffs):
-        term = F.mul(F.scalar(c), F.pow(a, i)) if i else F.scalar(c)
-        acc = F.add(acc, term)
-    return acc
 
 
 class _Statement(NamedTuple):
@@ -202,7 +193,7 @@ def _gcd5_case(F: Field, delta: int) -> DConstraint:
 def _order5_binary(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
         return f"a=0, delta(1)={delta}", [5], _gcd5_case(F, delta)
-    if _poly_in_a(F, a, [1, 1, 0, 1]) == ZERO:  # 1 + a + a^3 = 0
+    if Poly.from_ints(F, [1, 1, 0, 1])(a) == ZERO:  # 1 + a + a^3 = 0
         return f"1+a+a^3=0, delta(1)={delta}", [3, 5], lower(3 + delta)
     return (f"a+a^2+a^4!=0, delta(1)={delta}", [1, 3, 5],
             lower(7 + delta))
@@ -221,21 +212,21 @@ def _order5_quaternary(F: Field, h: int, a: int, delta: int):
 def _order5_char2(F: Field, h: int, a: int, delta: int):
     if a == ZERO:
         return f"a=0, delta(1)={delta}", [1, 4, 5], lower(3 + delta)
-    if _poly_in_a(F, a, [1, 1, 1]) == ZERO:  # 1 + a + a^2 = 0
+    if Poly.from_ints(F, [1, 1, 1])(a) == ZERO:  # 1 + a + a^2 = 0
         return "1+a+a^2=0", [2, 3, 4, 5], lower(5)
     return f"a+a^2+a^3!=0, delta={delta}", [1, 2, 3, 4, 5], lower(6 + delta)
 
 
 def _order5_ternary(F: Field, h: int, a: int, delta: int):
-    if _poly_in_a(F, a, [0, 1, 0, 0, 0, 0, -1]) == ZERO:  # a - a^6 = 0
+    if Poly.from_ints(F, [0, 1, 0, 0, 0, 0, -1])(a) == ZERO:  # a - a^6 = 0
         return f"a-a^6=0, delta={delta}", [2, 4, 5], lower(4)
     return f"a-a^6!=0, delta={delta}", [1, 2, 4, 5], lower(7 + delta)
 
 
 def _order5_char3(F: Field, h: int, a: int, delta: int):
-    if _poly_in_a(F, a, [1, 1]) == ZERO:  # a = -1
+    if Poly.from_ints(F, [1, 1])(a) == ZERO:  # a = -1
         return f"a=-1, delta(1)={delta}", [1, 2, 4, 5], lower(3 + delta)
-    if _poly_in_a(F, a, [1, 0, 1]) == ZERO:  # a^2 = -1
+    if Poly.from_ints(F, [1, 0, 1])(a) == ZERO:  # a^2 = -1
         # zeros alpha^2..alpha^5 give d >= 5; alpha^0 does not extend the
         # run (STMT-ORDER5-CHAR3-D)
         return f"a^2=-1, delta(a-1)={delta}", [2, 3, 4, 5], lower(5)
@@ -249,7 +240,7 @@ def _order5_large(F: Field, h: int, a: int, delta: int):
     if a == F.div(F.scalar(2), F.scalar(3)):
         # runs {3,4,5} and {0,1}: alpha^0 does not extend (STMT-ORDER5-LARGE-D)
         return f"a=2/3, delta={delta}", [1, 3, 4, 5], lower(4)
-    if _poly_in_a(F, a, [1, -3, 1]) == ZERO:  # a^2 - 3a + 1 = 0
+    if Poly.from_ints(F, [1, -3, 1])(a) == ZERO:  # a^2 - 3a + 1 = 0
         return f"a^2-3a+1=0, delta={delta}", [2, 3, 4, 5], lower(5)
     return f"a generic, delta={delta}", [1, 2, 3, 4, 5], lower(6 + delta)
 
@@ -301,7 +292,7 @@ def predict(spec: DicksonSpec, F: Field) -> PredictedCode:
         raise NoTheoremApplies("no theorem applies; use the generic pipeline")
     if not _sources_ok(F, stmt.sources or (h,)):
         raise NoTheoremApplies("coset structure outside the stated regime")
-    delta = F.delta(_poly_in_a(F, a, stmt.delta_arg))
+    delta = F.delta(Poly.from_ints(F, stmt.delta_arg)(a))
     case, exponents, dcon = stmt.cases(F, h, a, delta)
     # alpha^0 = 1 is the root of x - 1; M_{alpha^-e} vanishes on -e's coset
     table = coset_table(F.n, F.q)

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from dickson_codes import cli, cyclic
+from dickson_codes import cli, cyclic, verify
 from dickson_codes.cli import main
 from dickson_codes.galois import InternalError
 from dickson_codes.polyring import Poly
@@ -144,6 +144,16 @@ def test_table_command_csv(capsys):
     assert all(("MATCH" in ln) for ln in lines[1:])
 
 
+def test_table_command_json(capsys):
+    status, out, _ = run_cli(capsys, "table", "--id", "E", "--format", "json")
+    assert status == 0
+    payload = json.loads(out)
+    assert [r["row"] for r in payload] == [
+        row.index for row in verify.load_table("E")]
+    assert all(r["table"] == "E" and "MATCH" in r["status"]
+               and r["d_method"] for r in payload)
+
+
 def test_table_command_text(capsys):
     status, out, _ = run_cli(capsys, "table", "--id", "E")
     assert status == 0
@@ -188,6 +198,11 @@ def test_bad_element_exits_2(capsys):
     status, _, err = run_cli(capsys, "code", "--q", "2", "--m", "4",
                              "--kind", "D", "--order", "3", "--a", "banana")
     assert status == 2
+    # 2 = 0 in characteristic 2
+    status, out, err = run_cli(capsys, "code", "--q", "2", "--m", "4",
+                               "--kind", "D", "--order", "3", "--a", "1/2")
+    assert (status, out) == (2, "")
+    assert "denominator vanishes in GF(16)" in err
 
 
 def test_usage_error_exits_2():
@@ -348,6 +363,24 @@ def test_malformed_registry_record_exits_2(capsys, tmp_path):
                              "--registry", str(target))
     assert status == 2
     assert "malformed registry record" in err
+
+
+@pytest.mark.parametrize("record,reason", [
+    ("4 1 2  1 1 1", "characteristic 4 is not prime"),
+    ("2 0 3  1 1 0 1", "extension degrees must be >= 1"),
+    ("2 1 0  1", "extension degrees must be >= 1"),
+    ("2 1 17  " + "1 " * 18, "field order exceeds 2^16"),
+    ("2 1 3  1 1 1", "prim_poly degree 2 != t*m = 3"),
+    ("2 1 3  1 1 0 2", "prim_poly must be monic"),
+], ids=["p", "t", "m", "order", "degree", "monic"])
+def test_rejected_registry_record_names_its_line(capsys, tmp_path, record,
+                                                 reason):
+    target = tmp_path / "registry.txt"
+    target.write_text(f"# one bad record\n{record}\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "field", "--q", "2", "--m", "4",
+                               "--registry", str(target))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {target}:2: ") and reason in err
 
 
 @pytest.mark.parametrize("command", ["code", "sequence"])

@@ -152,6 +152,11 @@ def test_minimum_distance_rejects_zero_code():
 def test_weight_distribution_examples():
     c = build(2, 3, "D", 2, "1")
     assert weight_distribution(c) == {0: 1, 4: 7}
+    # q^k = 2^3: at the cap, and one above it
+    assert weight_distribution(c, DistanceConfig(full_enum_limit=8)) == {
+        0: 1, 4: 7}
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+        weight_distribution(c, DistanceConfig(full_enum_limit=7))
     f = REG.field(2, 2)
     full = CyclicCode(f, Poly.one(f))
     assert weight_distribution(full) == {0: 1, 1: 3, 2: 3, 3: 1}
@@ -504,11 +509,22 @@ def test_pinned_enumeration_matches_full_walk(code):
     assert all(code.contains(word) for word in pinned[:64])
 
     # the weight enumerator counts q^k words, and the code is cyclic
-    assert sum(weight_distribution(code).values()) == code.q**code.k
+    distribution = weight_distribution(code)
+    assert sum(distribution.values()) == code.q**code.k
     as_bytes = {word.tobytes() for word in words}
     assert len(as_bytes) == len(words)
     assert all(word.tobytes() in as_bytes
                for word in np.roll(words, 1, axis=1))
+
+    # a low table of q words: the outer table spans the other rows, and
+    # holds words with more than one nonzero digit once k >= 3
+    with mock.patch.object(cyclic, "_SPAN_ROWS", code.q):
+        small = list(codeword_blocks(code))
+        assert sum(len(block) for block in small) == code.q**code.k
+        assert {word.tobytes() for block in small for word in block} \
+            == as_bytes
+        assert _enumerated(code) == (w, smallest)
+        assert weight_distribution(code) == distribution
 
 
 def _reference_keys(H, st, pos, coeffs, negate):

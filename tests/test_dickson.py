@@ -136,3 +136,10 @@ def test_dickson_poly_rejects_logs_outside_the_field():
                      DicksonSpec(kind="E", h=3, a=f.one, offset=bad)):
             with pytest.raises(ValueError, match="not an element log"):
                 dickson_poly(spec, f)
+
+
+def test_spec_rejects_unknown_kind_and_negative_order():
+    with pytest.raises(ValueError, match="kind must be 'D' or 'E'"):
+        DicksonSpec(kind="F", h=3, a=ZERO)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        DicksonSpec(kind="D", h=-1, a=ZERO)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -252,6 +253,32 @@ def test_codes_mul_matches_poly_product(data, qm):
     got = _codes.codes_mul(st.codes_of_logs(a.coeffs),
                            st.codes_of_logs(b.coeffs), st)
     assert _codes.codes_to_poly(got, st) == a * b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), qm=hst.sampled_from(DIFF_FIELDS))
+def test_codes_divmod_and_gcd_match_poly(data, qm):
+    F = REG.field(*qm)
+    st = F.subfield_tables()
+    sub = F.subfield_logs()
+    # either may be zero, and each is also divided by the other, so the
+    # divisor's degree is above the dividend's in one of the two
+    a, b = (Poly(F, data.draw(hst.lists(hst.sampled_from(sub), max_size=20)))
+            for _ in range(2))
+    codes = {}
+    for p in (a, b):  # trailing zero codes are trimmed
+        pad = np.zeros(data.draw(hst.integers(0, 2)), dtype=np.uint8)
+        codes[p] = np.concatenate([st.codes_of_logs(p.coeffs), pad])
+    for x, y in ((a, b), (b, a)):
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                _codes.codes_divmod(codes[x], codes[y], st)
+        else:
+            quot, rem = _codes.codes_divmod(codes[x], codes[y], st)
+            assert (_codes.codes_to_poly(quot, st),
+                    _codes.codes_to_poly(rem, st)) == divmod(x, y)
+        got = _codes.codes_gcd(codes[x], codes[y], st)
+        assert _codes.codes_to_poly(got, st) == x.gcd(y)
 
 
 def test_minimal_poly_product_matches_product_of_linear_factors():
