@@ -31,14 +31,19 @@ Distance strategy, in order:
   reported.  Keys are syndromes packed one GF(p) digit to a lane of 1
   (p = 2) or ceil(log2(2p - 1)) bits, in as many 64-bit words as they
   need; one lane-wise kernel sums them for every q.  Sides are joined on
-  word 0 and generated in chunks of ``MITM_CHUNK`` keys.  A's keys alone
-  are sorted, and each A chunk sets its bits in a one-hash bloom filter
-  packed eight to a byte, so a level holds A's keys, their sorted copy,
-  the filter and a few chunks.  B's chunks are screened by the filter
-  and their survivors, sorted, by a binary search.  Only for the B keys
-  that matched are the A entries looked up, by a chunked binary search
-  of A's keys into the distinct matched keys; candidate pairs are then
-  confirmed on the other words.
+  word 0 and built along the colex nesting in blocks of about
+  ``MITM_CHUNK`` keys: the supports ending at position x are those of
+  one fewer position below x, each extended by x, so a block is a slice
+  of the level below plus one table entry, one add per key, and only
+  that level is held.  A is held once, as the sorted hashes of its keys
+  (times an odd constant, a bijection): 8 bytes a key.  The top bits of
+  the sorted hashes set a one-hash bloom filter packed eight to a byte,
+  so a level holds A's hashes, the filter, the level below each side's
+  last and a few blocks.  B's hashed blocks are screened by the filter
+  and their survivors, sorted, by a binary search in A's hashes.  On a
+  match A is built again to find the entries of the matched hashes;
+  only the matched pairs are unranked into supports and coefficients,
+  and they are confirmed on the other words.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -76,6 +81,7 @@ polynomial, before it is believed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -353,33 +359,41 @@ def _mitm_sides(n: int, q: int, w: int) -> tuple[int, int]:
             math.comb(span, w2) * (q - 1) ** w2)
 
 
-def _coeff_grid(q: int, slots: int, pin_first: bool) -> np.ndarray:
-    """All coefficient tuples over GF(q)* for the support slots."""
-    ranges = [[1] if s == 0 and pin_first else range(1, q)
-              for s in range(slots)]
-    return np.array(list(itertools.product(*ranges)), dtype=np.uint8)
+@functools.lru_cache(maxsize=256)
+def _combs(n: int, w: int) -> np.ndarray:
+    """(w + 1, n + 1) int64 table whose row s holds C(x, s), x = 0..n: by
+    the hockey-stick identity C(x, s) is the sum of C(y, s - 1), y < x.
+    Read-only and cached, so a MITM level's two sides and the unranking of
+    its pairs share one."""
+    c = np.zeros((w + 1, n + 1), dtype=np.int64)
+    c[0] = 1
+    for s in range(1, w + 1):
+        c[s - 1, :-1].cumsum(out=c[s, 1:])
+    c.flags.writeable = False
+    return c
 
 
-def _colex_array(n: int, w: int) -> np.ndarray:
-    """All size-w supports of range(n) in colex order, shape (C(n,w), w).
+def _colex_unrank(ranks: np.ndarray, n: int, w: int) -> np.ndarray:
+    """The size-w supports of range(n) at the given colex ranks, shape
+    (len(ranks), w), each ascending.  Colex ranks a support by its largest
+    position x first: the supports of range(x) come before it, so x is the
+    largest with C(x, w) <= rank, and the rest is the support of rank
+    rank - C(x, w) of size w - 1."""
+    combs = _combs(n, w)
+    rest = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), w), dtype=np.int64)
+    for s in range(w, 0, -1):
+        out[:, s - 1] = x = combs[s].searchsorted(rest, side="right") - 1
+        rest = rest - combs[s, x]
+    return out
 
-    Colex nests: the supports of range(last) are a prefix of those of
-    range(n), so each level is assembled from prefix slices of the one
-    below it.  Positions are int16 while n itself fits, so a caller may
-    add 1 to them; int32 beyond.
-    """
-    dtype = np.int16 if n < 1 << 15 else np.int32
-    if w == 0:
-        return np.zeros((1, 0), dtype=dtype)
-    level = np.arange(n, dtype=dtype).reshape(-1, 1)
-    for j in range(2, w + 1):
-        parts = []
-        for last in range(j - 1, n):
-            prefix = level[: math.comb(last, j - 1)]
-            col = np.full((len(prefix), 1), last, dtype=dtype)
-            parts.append(np.hstack([prefix, col]))
-        level = np.vstack(parts)
-    return level
+
+def _coeff_digits(ranks: np.ndarray, q: int, w: int) -> np.ndarray:
+    """The coefficient tuples over GF(q)* at the given ranks of their
+    product order (the first slot major), shape (len(ranks), w)."""
+    weights = (q - 1) ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(ranks, dtype=np.int64)[:, None] // weights
+            % (q - 1) + 1).astype(np.uint8)
 
 
 def _lane_bits(p: int) -> int:  # p = 2 adds by XOR; else a lane holds 2p - 2
@@ -402,47 +416,128 @@ def _key_table(H: np.ndarray, st: SubfieldTables) -> np.ndarray:
         axis=-1, dtype=np.uint64)
 
 
+def _lane_add(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Lane-wise sum of two key arrays (broadcast) over GF(p), as a new
+    array.  For p = 2 the sum is XOR.  Otherwise an add leaves lanes of
+    b = ``_lane_bits(p)`` bits in 0..2p-2; biasing each by 2^(b-1) - p
+    sets its top bit where it reached p, and p is subtracted there
+    (SWAR)."""
+    if p == 2:
+        return x ^ y
+    b = _lane_bits(p)
+    ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # 1 in every lane
+    keys = x + y
+    over = keys + np.uint64(((1 << (b - 1)) - p) * ones)
+    over &= np.uint64((1 << (b - 1)) * ones)
+    over >>= np.uint64(b - 1)
+    over *= np.uint64(p)
+    keys -= over
+    return keys
+
+
 def _side_keys(table: np.ndarray, pos: np.ndarray, coeffs: np.ndarray,
                p: int) -> np.ndarray:
     """Keys of sum_s coeffs[..., s] * H[:, pos[..., s]] over w >= 1 slots,
     as lane-wise sums of ``_key_table`` entries (any word axis kept);
-    ``pos`` and ``coeffs`` broadcast.  For p = 2 the sum is XOR.  Otherwise
-    an add leaves lanes in 0..2p-2; biasing each by 2^(b-1) - p sets its
-    top bit where it reached p, and p is subtracted there (SWAR)."""
+    ``pos`` and ``coeffs`` broadcast.  The reference for the nested build,
+    and the check of a MITM level's pairs on every key word."""
     keys = table[pos[..., 0], coeffs[..., 0]]
-    b = _lane_bits(p)
-    ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # 1 in every lane
     for s in range(1, pos.shape[-1]):
-        entry = table[pos[..., s], coeffs[..., s]]
-        if p == 2:
-            keys ^= entry
-        else:
-            keys += entry
-            over = keys + np.uint64(((1 << (b - 1)) - p) * ones)
-            over &= np.uint64((1 << (b - 1)) * ones)
-            over >>= np.uint64(b - 1)
-            over *= np.uint64(p)
-            keys -= over
+        keys = _lane_add(keys, table[pos[..., s], coeffs[..., s]], p)
     return keys
 
 
-def _bloom_addr(keys: np.ndarray, bits: int) -> np.ndarray:
-    mixed = keys * np.uint64(0x9E3779B97F4A7C15)
-    mixed >>= np.uint64(64 - bits)
-    return mixed.view(np.int64)
+def _nested_keys(table0: np.ndarray, base: np.uint64, w: int, span: int,
+                 p: int):
+    """Yield (first index, keys) blocks of about ``MITM_CHUNK`` word-0
+    keys: base plus the keys of sum_s c_s * H[:, pos_s] (``table0`` is
+    ``_key_table``'s word 0) over the size-w supports pos of 1..span and
+    the coefficient tuples c over GF(q)*.  The key at index r (q-1)^w + i
+    has the support of colex rank r (``_colex_unrank``) and the tuple of
+    rank i (``_coeff_digits``).
+
+    Colex nests: the supports of size j ending at ``last`` are those of
+    size j - 1 below ``last``, each extended by it, and those form a
+    prefix of the size j - 1 level.  So the block of keys ending at
+    ``last`` is a slice of the level below plus one table entry, and each
+    key costs one add.  Level j is built in full only as far as level
+    j + 1 reads it, and only the level below the one being built is held.
+    """
+    K = table0.shape[1] - 1
+    combs = _combs(span, w)
+    level = np.array([base], dtype=np.uint64)
+    if w == 0:
+        yield 0, level
+        return
+    for j in range(1, w + 1):
+        top = span - w + j  # the last position level w reads at level j
+        # row r of level j is one key of level j - 1 extended by one
+        # position; the first starts[x] rows end below position x + 1
+        starts = combs[j, : top + 1] * K ** (j - 1)
+        blocks = _extend(level, table0[1 : top + 1, 1:], starts, p)
+        if j == w:
+            yield from blocks
+        else:
+            level = np.empty(starts[-1] * K, dtype=np.uint64)
+            for lo, keys in blocks:
+                level[lo : lo + len(keys)] = keys
+
+
+def _extend(prev: np.ndarray, entries: np.ndarray, starts: np.ndarray,
+            p: int):
+    """Blocks of prev[i] + entries[x, c] (``_nested_keys``): row r with
+    starts[x] <= r < starts[x + 1] extends prev[r - starts[x]] by
+    position x + 1 with each coefficient c, the coefficient minor."""
+    K = entries.shape[1]
+    total, step = int(starts[-1]), max(1, MITM_CHUNK // K)
+    for r0 in range(0, total, step):
+        r1 = min(r0 + step, total)
+        a = int(starts.searchsorted(r0, side="right")) - 1  # row r0 ends
+        # at position a + 1
+        if len(prev) == 1:  # one row a position, from a on
+            pre, add = prev[:, None], entries[a : a + r1 - r0]
+        else:  # one run of rows per position a..b-1; all but the first
+            # read prev from its start
+            b = int(starts.searchsorted(r1))
+            edges = starts[a : b + 1].tolist()
+            edges[0], edges[-1] = r0, r1
+            runs = [hi - lo for lo, hi in zip(edges, edges[1:])]
+            skip = r0 - int(starts[a])
+            pre = np.concatenate([prev[skip : skip + runs[0]]]
+                                 + [prev[:run] for run in runs[1:]])[:, None]
+            add = np.repeat(entries[a:b], runs, axis=0)
+        yield r0 * K, _lane_add(pre, add, p).reshape(-1)
+
+
+def _hash(keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Keys times an odd constant: a bijection of uint64, so equal hashes
+    mean equal keys, whose top bits address the bloom filter."""
+    return np.multiply(keys, np.uint64(0x9E3779B97F4A7C15), out=out)
 
 
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit i of a byte
 
 
-def _bloom_add(bloom: np.ndarray, keys: np.ndarray, bits: int) -> None:
-    """Set the bits of ``keys`` in a filter of 2^bits bits packed eight to
-    a ``uint8``: sorted addresses come in one run per byte, and each run's
-    bits are ORed together with one ``reduceat``."""
-    addr = np.sort(_bloom_addr(keys, bits))
-    byte = addr >> 3
-    runs = np.flatnonzero(np.diff(byte, prepend=-1))
-    bloom[byte[runs]] |= np.bitwise_or.reduceat(_BIT[addr & 7], runs)
+def _bloom_addr(hashes: np.ndarray, bits: int) -> np.ndarray:
+    return (hashes >> np.uint64(64 - bits)).view(np.int64)
+
+
+def _bloom_add(bloom: np.ndarray, hashes: np.ndarray, bits: int) -> None:
+    """Set the bits of sorted ``hashes`` in a filter of 2^bits bits packed
+    eight to a ``uint8``.  A hash's address is its top bits, so the
+    addresses come sorted too: each stretch of at most 2^20 bits that
+    they reach is marked in a ``bool`` array and packed into the filter's
+    bytes with one ``packbits``."""
+    addr = _bloom_addr(hashes, bits)
+    lo = 0
+    while lo < len(addr):
+        first = int(addr[lo]) & ~7  # a byte boundary
+        hi = int(addr.searchsorted(first + (1 << 20)))
+        marks = np.zeros(int(addr[hi - 1]) - first + 1, dtype=bool)
+        marks[addr[lo:hi] - first] = True
+        packed = np.packbits(marks, bitorder="little")
+        bloom[first >> 3 : (first >> 3) + len(packed)] |= packed
+        lo = hi
 
 
 def _mitm_level(code: CyclicCode, table: np.ndarray,
@@ -454,79 +549,77 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     in the code, and with A's positions below B's the sides are disjoint,
     so the sum has weight w and no match needs a further check.
 
-    Both sides draw from 1..``_mitm_span(n, w)`` and are generated in
-    chunks of about ``MITM_CHUNK`` keys, so the working memory is A's
-    keys, their sorted copy, a bit-packed bloom filter and a few chunks.
-    Which A entries carry a matched key is looked up only after the probe,
-    for the B keys that really matched.
+    Both sides are built along the colex nesting (``_nested_keys``) in
+    blocks of about ``MITM_CHUNK`` keys.  Side A is held once, as the
+    sorted hashes (``_hash``) of its word-0 keys.  The bloom filter is set
+    from the top bits of the sorted hashes, and B's hashed blocks are
+    screened by it and probed, sorted, in the same array.  Only on a match
+    is A rebuilt, to find the entries of the matched hashes; the matched
+    pairs alone are unranked into supports and coefficients.
     """
     st = code.field.subfield_tables()
     q, n, p = code.q, code.n, st.p
     w1, w2 = (w + 1) // 2, w // 2
     span = _mitm_span(n, w)
+    word0 = table[:, :, 0]
+    neg0 = table[:, st.neg, 0]  # A's keys are negated syndromes
 
-    rest = _colex_array(span, w1 - 1) + 1
-    pos_a = np.hstack([np.zeros((len(rest), 1), dtype=rest.dtype), rest])
-    pos_b = _colex_array(span, w2) + 1
-    coeff_a = _coeff_grid(q, w1, pin_first=True)
-    coeff_b = _coeff_grid(q, w2, pin_first=False)
-    Ka, Kb = len(coeff_a), len(coeff_b)
+    def side_a():  # position 0 pinned to coefficient 1
+        return _nested_keys(neg0, neg0[0, 1], w1 - 1, span, p)
 
-    def key_chunks(pos, coeffs):
-        """(first key index, word-0 keys) per chunk of supports, C-ordered
-        with the coefficient index minor."""
-        step = max(1, MITM_CHUNK // len(coeffs))
-        for lo in range(0, len(pos), step):
-            keys = _side_keys(table[:, :, 0], pos[lo : lo + step, None],
-                              coeffs[None], p)
-            yield lo * len(coeffs), keys.reshape(-1)
-
-    # A is never the larger side: hold its keys; they are negated
-    # syndromes, so a match means the two sides sum to zero.  A one-hash
+    # A is never the larger side: hold its hashes, sorted.  A one-hash
     # bloom filter sized to A screens out almost every B key before the
     # binary search, which dominates otherwise.
-    keys_a = np.empty(len(pos_a) * Ka, dtype=np.uint64)
-    bloom_bits = min(max(len(keys_a).bit_length() + 4, 12), 26)
+    hashes = np.empty(_mitm_sides(n, q, w)[0], dtype=np.uint64)
+    for lo, keys in side_a():
+        _hash(keys, out=hashes[lo : lo + len(keys)])
+    hashes.sort()
+    bloom_bits = min(max(len(hashes).bit_length() + 4, 12), 26)
     bloom = np.zeros(1 << (bloom_bits - 3), dtype=np.uint8)
-    for lo, keys in key_chunks(pos_a, st.neg[coeff_a]):
-        keys_a[lo : lo + len(keys)] = keys
-        _bloom_add(bloom, keys, bloom_bits)
-    keys_sorted = np.sort(keys_a)
+    for lo in range(0, len(hashes), MITM_CHUNK):
+        _bloom_add(bloom, hashes[lo : lo + MITM_CHUNK], bloom_bits)
 
-    hits_b, hit_keys = [], []
-    for lo, keys_b in key_chunks(pos_b, coeff_b):
-        addr = _bloom_addr(keys_b, bloom_bits)
-        maybe = np.flatnonzero(bloom[addr >> 3] & _BIT[addr & 7])
-        # sorted probes walk A's sorted keys in order, which keeps the
+    hits_b, hit_hashes = [], []
+    for lo, keys in _nested_keys(word0, np.uint64(0), w2, span, p):
+        _hash(keys, out=keys)
+        addr = _bloom_addr(keys, bloom_bits)
+        maybe = (bloom[addr >> 3] & _BIT[addr & 7]).nonzero()[0]
+        # sorted probes walk A's sorted hashes in order, which keeps the
         # search in cache; most survivors are false positives
-        maybe = maybe[np.argsort(keys_b[maybe])]
-        probe = keys_b[maybe]
-        left = np.searchsorted(keys_sorted, probe)
-        real = keys_sorted[np.minimum(left, len(keys_sorted) - 1)] == probe
+        maybe = maybe[keys[maybe].argsort()]
+        probe = keys[maybe]
+        left = hashes.searchsorted(probe)
+        real = hashes[np.minimum(left, len(hashes) - 1)] == probe
         hits_b.append(maybe[real] + lo)
-        hit_keys.append(probe[real])
-    matched = np.concatenate(hit_keys)
+        hit_hashes.append(probe[real])
+    matched = np.concatenate(hit_hashes)
     if not len(matched):
         return None
-    # the A entries of the matched keys, found chunk by chunk against the
-    # few distinct matched keys and grouped by key: one entry per (A, B)
-    # pair matching on word 0
-    uniq = np.unique(matched)
-    ai = []
-    for lo in range(0, len(keys_a), MITM_CHUNK):
-        chunk = keys_a[lo : lo + MITM_CHUNK]
-        at = np.minimum(np.searchsorted(uniq, chunk), len(uniq) - 1)
-        ai.append(np.flatnonzero(uniq[at] == chunk) + lo)
-    ai = np.concatenate(ai)
-    ai = ai[np.argsort(keys_a[ai], kind="stable")]
-    grouped = keys_a[ai]
-    left = np.searchsorted(grouped, matched, side="left")
-    counts = np.searchsorted(grouped, matched, side="right") - left
+    # A rebuilt, block by block, for the entries of the matched hashes,
+    # grouped by hash: one entry per (A, B) pair matching on word 0
+    wanted = np.sort(matched)
+    ai, ah = [], []
+    for lo, keys in side_a():
+        keys = _hash(keys)
+        at = wanted.searchsorted(keys)
+        found = (wanted[np.minimum(at, len(wanted) - 1)] == keys).nonzero()[0]
+        ai.append(found + lo)
+        ah.append(keys[found])
+    ah = np.concatenate(ah)
+    order = ah.argsort(kind="stable")
+    ai, grouped = np.concatenate(ai)[order], ah[order]
+    left = grouped.searchsorted(matched, side="left")
+    counts = grouped.searchsorted(matched, side="right") - left
     bi = np.repeat(np.concatenate(hits_b), counts)
     ai = ai[np.repeat(left - np.cumsum(counts) + counts, counts)
             + np.arange(counts.sum())]
-    sa, sb = pos_a[ai // Ka], pos_b[bi // Kb]
-    ca, cb = coeff_a[ai % Ka], coeff_b[bi % Kb]
+    Ka, Kb = (q - 1) ** (w1 - 1), (q - 1) ** w2
+    sa = np.zeros((len(ai), w1), dtype=np.int64)  # position 0 pinned to 1
+    sa[:, 1:] = _colex_unrank(ai // Ka, span, w1 - 1) + 1
+    ca = np.ones((len(ai), w1), dtype=np.uint8)
+    ca[:, 1:] = _coeff_digits(ai % Ka, q, w1 - 1)
+    sb = _colex_unrank(bi // Kb, span, w2) + 1
+    cb = _coeff_digits(bi % Kb, q, w2)
     keep = sa[:, -1] < sb[:, 0]
     if table.shape[2] > 1:  # confirm the pairs on every word
         keep &= (_side_keys(table, sa, st.neg[ca], p)

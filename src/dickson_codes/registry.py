@@ -14,7 +14,7 @@ or an explicit path.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import dataclasses
 from importlib import resources
 
 from .galois import Field, FieldError, FieldSpec
@@ -33,12 +33,13 @@ class UnknownEntryError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RegistryEntry:
     q: int
     m: int
     spec: FieldSpec
     override: bool
+    lineno: int = dataclasses.field(compare=False)  # its line in the source
 
 
 class Registry:
@@ -50,11 +51,19 @@ class Registry:
         self._fields: dict[tuple[int, int], Field] = {}
 
     def field(self, q: int, m: int) -> Field:
+        """The field of record (q, m), built on first use.  A polynomial
+        that is reducible or not primitive shows only then, and is
+        rejected with the record's location."""
         key = (q, m)
         if key not in self._fields:
             if key not in self.entries:
                 raise UnknownEntryError(f"no registry entry for (q={q}, m={m})")
-            self._fields[key] = Field(self.entries[key].spec)
+            entry = self.entries[key]
+            try:
+                self._fields[key] = Field(entry.spec)
+            except FieldError as exc:
+                raise RegistryError(
+                    f"{self.source}:{entry.lineno}: {exc}") from None
         return self._fields[key]
 
     def has(self, q: int, m: int) -> bool:
@@ -93,7 +102,8 @@ def parse_registry(text: str, source: str = "<string>") -> Registry:
             raise RegistryError(
                 f"{source}:{lineno}: duplicate registry record for (q={key[0]}, m={m}) "
                 "without override flag")
-        entries[key] = RegistryEntry(q=spec.q, m=m, spec=spec, override=override)
+        entries[key] = RegistryEntry(q=spec.q, m=m, spec=spec,
+                                     override=override, lineno=lineno)
     return Registry(entries, source)
 
 

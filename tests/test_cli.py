@@ -372,7 +372,9 @@ def test_malformed_registry_record_exits_2(capsys, tmp_path):
     ("2 1 17  " + "1 " * 18, "field order exceeds 2^16"),
     ("2 1 3  1 1 1", "prim_poly degree 2 != t*m = 3"),
     ("2 1 3  1 1 0 2", "prim_poly must be monic"),
-], ids=["p", "t", "m", "order", "degree", "monic"])
+    # parsed, but rejected only when its field is built on use
+    ("2 1 4  1 1 1 1 1", "reducible or not primitive"),
+], ids=["p", "t", "m", "order", "degree", "monic", "primitive"])
 def test_rejected_registry_record_names_its_line(capsys, tmp_path, record,
                                                  reason):
     target = tmp_path / "registry.txt"

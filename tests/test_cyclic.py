@@ -3,9 +3,11 @@
 import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,10 +17,11 @@ from hypothesis import strategies as hst
 
 from dickson_codes import cyclic, verify
 from dickson_codes.cyclic import (ISD_STALL, CyclicCode, DistanceConfig,
-                                  DistanceResult, _colex_array,
-                                  _exhaustive_distance, _key_table,
-                                  _lane_bits, _longest_cyclic_run,
-                                  _mitm_sides, _mitm_span, _pair_weights,
+                                  DistanceResult, _coeff_digits,
+                                  _colex_unrank, _exhaustive_distance,
+                                  _key_table, _lane_bits,
+                                  _longest_cyclic_run, _mitm_sides,
+                                  _mitm_span, _nested_keys, _pair_weights,
                                   _pinned_blocks, _rref_codes, _side_keys,
                                   _smallest_shift,
                                   _WitnessSearch, bch_lower_bound,
@@ -350,11 +353,40 @@ def test_full_code_witness_matches_enumeration():
         assert (d.value, d.witness) == _enumerated(full)
 
 
-def test_colex_positions_past_int16():
-    assert _colex_array(40000, 1)[-1, 0] == 39999
-    assert _colex_array(5, 2).tolist() == [
-        [0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3],
-        [0, 4], [1, 4], [2, 4], [3, 4]]
+def _colex(n, w):
+    """The size-w supports of range(n) in colex order: by their largest
+    position, then their next largest, and so on."""
+    return sorted(itertools.combinations(range(n), w),
+                  key=lambda s: s[::-1])
+
+
+@pytest.mark.parametrize("n, w", [(1, 1), (5, 0), (5, 2), (7, 3), (9, 4),
+                                  (12, 6), (6, 6)])
+def test_colex_unrank_matches_itertools(n, w):
+    ref = _colex(n, w)
+    got = _colex_unrank(np.arange(len(ref)), n, w)
+    assert got.shape == (len(ref), w)
+    assert list(map(tuple, got.tolist())) == ref
+
+
+def test_colex_unrank_past_int16():
+    n = 40000
+    assert _colex_unrank(np.array([n - 1]), n, 1).tolist() == [[39999]]
+    # rank of {x < y} is C(y, 2) + C(x, 1)
+    ranks = np.array([0, math.comb(39000, 2) + 123, math.comb(n, 2) - 1])
+    assert _colex_unrank(ranks, n, 2).tolist() == [
+        [0, 1], [123, 39000], [39998, 39999]]
+    assert _colex_unrank(np.array([math.comb(n, 3) - 1]), n, 3).tolist() == [
+        [39997, 39998, 39999]]
+
+
+@pytest.mark.parametrize("q", (2, 3, 9))
+def test_coeff_digits_follow_product_order(q):
+    for w in range(4):
+        ref = list(itertools.product(range(1, q), repeat=w))
+        got = _coeff_digits(np.arange(len(ref)), q, w)
+        assert got.dtype == np.uint8 and got.shape == (len(ref), w)
+        assert list(map(tuple, got.tolist())) == ref
 
 
 DIFF_QS = (2, 3, 4, 5, 7, 8, 9)
@@ -577,6 +609,45 @@ def test_side_keys_match_digitwise_reference(q, words, data, seed):
         # one support per coefficient row, as the match confirmation uses
         pairs = _side_keys(table, pos[[0, 1, 2, 0]], cf, st.p)
         assert np.array_equal(pairs, grid[[0, 1, 2, 0], [0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), seed=hst.integers(0, 2**32 - 1))
+def test_nested_keys_match_side_keys(q, data, seed):
+    m = min(m for p, m in REG.pairs() if p == q)
+    st = REG.field(q, m).subfield_tables()
+    # at most 3000 keys a side
+    w = data.draw(hst.sampled_from([w for w in range(1, 5)
+                                    if (q - 1)**w <= 3000]), label="w")
+    spans = [s for s in range(w, 13) if math.comb(s, w) * (q - 1)**w <= 3000]
+    span = data.draw(hst.sampled_from(spans), label="span")
+    # one row a block splits every position's run of rows
+    chunk = data.draw(hst.sampled_from([1, 7, cyclic.MITM_CHUNK]))
+    rng = np.random.default_rng(seed)
+    H = rng.integers(0, q, (data.draw(hst.integers(1, 6)), span + 1))
+    table = _key_table(H.astype(np.uint8), st)
+    pos = np.array(_colex(span, w), dtype=np.int64).reshape(-1, w) + 1
+    coeffs = _coeff_digits(np.arange((q - 1)**w), q, w)
+    B = _side_keys(table, pos[:, None], coeffs[None], st.p)[..., 0]
+    # side A: position 0 pinned to coefficient 1, then w more, negated
+    pos_a = np.hstack([np.zeros((len(pos), 1), dtype=np.int64), pos])
+    coeffs_a = np.hstack([np.ones((len(coeffs), 1), dtype=np.uint8), coeffs])
+    A = _side_keys(table, pos_a[:, None], st.neg[coeffs_a][None], st.p)[..., 0]
+    sides = [(table[:, :, 0], np.uint64(0), B),
+             (table[:, st.neg, 0], table[0, st.neg[1], 0], A)]
+    with mock.patch.object(cyclic, "MITM_CHUNK", chunk):
+        for table0, base, ref in sides:
+            blocks = list(_nested_keys(table0, base, w, span, st.p))
+            starts = [lo for lo, _ in blocks]
+            sizes = [len(keys) for _, keys in blocks]
+            assert starts == [0] + list(itertools.accumulate(sizes))[:-1]
+            assert max(sizes) <= max(chunk, q - 1)
+            got = np.concatenate([keys for _, keys in blocks])
+            assert got.tolist() == ref.reshape(-1).tolist()
+    # no positions: the base alone
+    assert [keys.tolist() for _, keys in _nested_keys(
+        table[:, :, 0], table[0, 1, 0], 0, span, st.p)] == [[table[0, 1, 0]]]
 
 
 def test_wide_syndrome_keeps_mitm_exact():
@@ -958,7 +1029,41 @@ def test_mitm_level_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24_000_000
+    assert peak < 12_000_000
+
+
+def _population_guard():
+    """A few codes of the ``mitm`` benchmark population, read from its
+    record: for each q, the code with the most keys below 2^12 and the one
+    with the most candidate hits in [2^12, 2^15)."""
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "perfbench" / "mitm_population.json",
+              encoding="utf-8") as fh:
+        codes = json.load(fh)["codes"]
+    picks = []
+    for q in sorted({c["q"] for c in codes}):
+        band = [c for c in codes if c["q"] == q]
+        low = [c for c in band if c["keys"] < 1 << 12]
+        mid = [c for c in band if 1 << 12 <= c["keys"] < 1 << 15]
+        picks.append(max(low, key=lambda c: (c["keys"], c["hits"])))
+        if mid:
+            picks.append(max(mid, key=lambda c: (c["hits"], c["keys"])))
+    return picks
+
+
+@pytest.mark.parametrize("entry", _population_guard(), ids=lambda e: (
+    f"q{e['q']}-n{e['n']}-k{e['k']}-d{e['d']}"))
+def test_mitm_population_codes_keep_their_distance(entry):
+    F = REG.field(entry["q"], entry["m"])
+    factors = {c.leader: g for c, g in factor_xn_minus_1(F.n, F)}
+    g = Poly.one(F)
+    for leader in entry["roots"]:
+        g = g * factors[leader]
+    code = CyclicCode(F, g.monic())
+    assert (code.n, code.k) == (entry["n"], entry["k"])
+    d = minimum_distance(code, DistanceConfig(isd_iterations=0,
+                                              full_enum_limit=1))
+    assert (d.exact, d.value) == (True, entry["d"])
 
 
 def test_infeasible_mitm_level_falls_back_to_enumeration():
