@@ -65,7 +65,11 @@ Distance strategy, in order:
   pairs are not scored.  A pair's weight counts where the columns
   A[:, i] and -c * A[:, j] differ: codes are packed as ceil(log2 q) bit
   planes of 64-bit words, and the count is the popcount of the planes'
-  XORs, ORed together.
+  XORs, ORed together.  The resumed pass also takes Stern's collision
+  step (Stern 1989; Peters 2010 over GF(q)) in each set: two rows from
+  each half of the information columns, joined on MITM keys of A's first
+  l rows.  It draws no random numbers, so the resumed pass draws the
+  sets a fresh search draws and may only find lighter words in them.
 
 One witness convention: each engine reports its weight and its lightest
 words, and ``minimum_distance`` alone turns them into the witness.  It
@@ -540,6 +544,16 @@ def _bloom_add(bloom: np.ndarray, hashes: np.ndarray, bits: int) -> None:
         lo = hi
 
 
+def _equal_keys(ordered: np.ndarray, probe: np.ndarray):
+    """Every (i, j) with probe[i] == ordered[j], ``ordered`` sorted, as two
+    index arrays, probe-major and then in ``ordered``'s order."""
+    left = ordered.searchsorted(probe, side="left")
+    counts = ordered.searchsorted(probe, side="right") - left
+    return (np.repeat(np.arange(len(probe)), counts),
+            np.repeat(left - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+
+
 def _mitm_level(code: CyclicCode, table: np.ndarray,
                 w: int) -> np.ndarray | None:
     """Full MITM sweep at weight w over the pinned split (module
@@ -608,11 +622,8 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     ah = np.concatenate(ah)
     order = ah.argsort(kind="stable")
     ai, grouped = np.concatenate(ai)[order], ah[order]
-    left = grouped.searchsorted(matched, side="left")
-    counts = grouped.searchsorted(matched, side="right") - left
-    bi = np.repeat(np.concatenate(hits_b), counts)
-    ai = ai[np.repeat(left - np.cumsum(counts) + counts, counts)
-            + np.arange(counts.sum())]
+    at_b, at_a = _equal_keys(grouped, matched)
+    bi, ai = np.concatenate(hits_b)[at_b], ai[at_a]
     Ka, Kb = (q - 1) ** (w1 - 1), (q - 1) ** w2
     sa = np.zeros((len(ai), w1), dtype=np.int64)  # position 0 pinned to 1
     sa[:, 1:] = _colex_unrank(ai // Ka, span, w1 - 1) + 1
@@ -735,7 +746,9 @@ class _WitnessSearch:
     the generator polynomial.  The RNG, the best word and the number of
     information sets used persist across ``run`` calls, so a run that
     resumes a stopped one draws exactly the sets a fresh search would draw
-    next, and no set is reduced twice.
+    next, and no set is reduced twice.  A run without ``stall`` adds the
+    collision step (``_collisions``) to each set; it draws nothing from
+    the RNG, so it changes which words a set yields, not which sets.
     """
 
     def __init__(self, code: CyclicCode, cfg: DistanceConfig):
@@ -751,7 +764,8 @@ class _WitnessSearch:
             ) -> tuple[int, np.ndarray] | None:
         """Draw information sets until the best weight is at most
         ``stop_at``, ``stall`` sets of this run bring no improvement, or
-        ``cfg.isd_iterations`` sets have been used in all.  Returns the
+        ``cfg.isd_iterations`` sets have been used in all; with no
+        ``stall``, each set also takes the collision step.  Returns the
         best (weight, codeword) so far, or None.
 
         ``stop_at`` is a proven lower bound on the distance (the BCH bound
@@ -763,7 +777,7 @@ class _WitnessSearch:
                and (self.best_w is None or self.best_w > stop_at)
                and (stall is None or since_improved < stall)):
             prev_best = self.best_w
-            self._draw(st, stop_at)
+            self._draw(st, stop_at, collide=stall is None)
             self.sets += 1
             since_improved = (0 if self.best_w != prev_best
                               else since_improved + 1)
@@ -771,10 +785,13 @@ class _WitnessSearch:
             return None
         return self.best_w, self.best_c
 
-    def _draw(self, st: SubfieldTables, floor: int) -> None:
+    def _draw(self, st: SubfieldTables, floor: int,
+              collide: bool = False) -> None:
         """Reduce one random information set and score the rows of its
         systematic generator: single rows and, unless one of them already
         weighs ``floor``, every row pair with a free scalar on the second.
+        With ``collide``, ``_collisions`` then scores 2 + 2 words.  Each
+        replaces the best only when it is strictly lighter.
 
         H's permuted columns are reduced from the right, so its pivots are
         the check columns and the rest, ``info``, is the information set a
@@ -807,6 +824,10 @@ class _WitnessSearch:
             c, i0, j0 = np.unravel_index(np.argmin(pw), pw.shape)
             if pw[c, i0, j0] < best_w:
                 best_w, rows = int(pw[c, i0, j0]), [(i0, 1), (j0, c + 1)]
+        if collide and best_w > max(floor, 4):  # 2 + 2 words weigh >= 4
+            found = _collisions(A, st, self.cfg.mitm_side_limit)
+            if found is not None and found[0] < best_w:
+                best_w, rows = found
         if rows is not None:
             word = np.zeros(n, dtype=np.uint8)
             check = np.zeros(n - k, dtype=np.uint8)
@@ -815,6 +836,53 @@ class _WitnessSearch:
                 check = st.add[check, st.mul[c, A[:, i]]]
             word[cols[checks]] = st.neg[check]
             self.best_w, self.best_c = best_w, word
+
+
+def _collisions(A: np.ndarray, st: SubfieldTables, limit: int):
+    """Stern's collision step on a set's block A, (n - k) x k (``_draw``):
+    the lightest R[i] + c R[j] + c' R[u] + c'' R[v], i < j < k // 2 <= u <
+    v, whose check part is zero on A's first l rows, as (weight, its
+    (row, scalar) terms), or None.  Side X holds the window keys
+    (``_key_table``) of A[:, i] + c A[:, j], side Y those of
+    -(c' A[:, u] + c'' A[:, v]); l = round(log_q |Y|), kept in 1..n - k - 1
+    and in one key word, so about sqrt(|X| |Y|) pairs match.  Only those
+    are weighed in full, 4 + nnz, and the first lightest in (X index,
+    Y index) order wins.  Sets with k < 4 or n - k < 2, or a side over
+    ``limit`` keys, skip the step.
+    """
+    r, k = A.shape
+    q, p, t, h, b = st.q, st.p, st.t, k // 2, _lane_bits(st.p)
+    pairs_x = np.stack(np.triu_indices(h, 1), axis=1)  # (i, j) ascending
+    pairs_y = np.stack(np.triu_indices(k - h, 1), axis=1) + h
+    cx = _coeff_digits(np.arange(q - 1), q, 2)  # (1, c)
+    cy = _coeff_digits(np.arange((q - 1) ** 2), q, 2)
+    ny = len(pairs_y) * len(cy)
+    if k < 4 or r < 2 or ny > limit:
+        return None
+    ell = min(max(1, round(math.log(ny, q))), r - 1, 64 // b // t)
+    window = _key_table(A[:ell], st)[:, :, 0]
+    keys_x = _side_keys(window, pairs_x[:, None], cx[None], p).reshape(-1)
+    keys_y = _side_keys(window, pairs_y[:, None], st.neg[cy][None],
+                        p).reshape(-1)
+    order_x, order_y = keys_x.argsort(), keys_y.argsort()
+    at_y, at_x = _equal_keys(keys_x[order_x], keys_y[order_y])
+    if not len(at_y):
+        return None
+    x, y = order_x[at_x], order_y[at_y]
+    pos = np.concatenate([pairs_x[x // (q - 1)], pairs_y[y // len(cy)]], 1)
+    coeffs = np.concatenate([cx[x % (q - 1)], cy[y % len(cy)]], 1)
+    checks = _side_keys(_key_table(A, st), pos, coeffs, p)  # (m, W)
+    # each lane's bits ORed into its low bit, then a symbol's t lanes
+    nonzero = np.bitwise_or.reduce([checks >> np.uint64(s) for s in range(b)])
+    bits = np.unpackbits(nonzero.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little").reshape(len(x), -1, 64)
+    digits = bits[:, :, : 64 // b * b : b].reshape(len(x), -1)
+    symbols = np.bitwise_or.reduce(
+        [digits[:, s : r * t : t] for s in range(t)])
+    weights = 4 + np.count_nonzero(symbols, axis=1)
+    tied = np.flatnonzero(weights == weights.min())
+    best = tied[np.argmin(x[tied] * ny + y[tied])]
+    return int(weights[best]), list(zip(pos[best], coeffs[best]))
 
 
 def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:

@@ -265,10 +265,13 @@ def test_hard_rows_resolve_exactly(monkeypatch):
     assert (c.n, c.k, d.value, d.exact) == (124, 96, 13, True)
     assert d.method == "bch+witness"
     assert bch_lower_bound(c) == 13
-    # the quick pass stalls above 13 and MITM level 13 is infeasible; the
-    # rescue resumes the quick pass, which reached 13 at set 48, rather
-    # than drawing its sets again (22 + 48 before)
-    assert len(reduced) <= 48 and len(set(reduced)) == len(reduced)
+    # the quick pass stalls above 13 after 2 sets and MITM level 13 is
+    # infeasible; the rescue resumes the quick pass, and its collision
+    # step reaches 13 in the first resumed set (rows and pairs alone
+    # reached it at set 48), without drawing a set again
+    assert len(reduced) == 3 and len(set(reduced)) == len(reduced)
+    word = np.array(d.witness, dtype=np.uint8)
+    assert np.count_nonzero(word) == 13 and c.contains(word)
 
 
 def test_distance_unresolved_reports_bound():
@@ -729,23 +732,56 @@ def test_bch_bound_le_distance_le_witness_weight(code):
 @given(random_cyclic_codes(max_n=80, max_size=None).filter(
            lambda c: c.n - c.k < c.k < c.n))
 @example(build(5, 3, "D", 11, "1"))  # row D7/14: the quick pass stalls
-def test_resumed_witness_search_equals_a_fresh_one(code):
-    cfg = DistanceConfig(isd_iterations=60)
+def test_resumed_witness_search_continues_the_fresh_stream(code):
+    # the resumed pass adds a collision step to each set, so its word may
+    # be lighter than a fresh search's; what must hold is the RNG stream:
+    # the quick and resumed passes reduce, once each, the sets a fresh
+    # search draws first, and the step itself draws nothing
+    cfg = DistanceConfig(isd_iterations=30)
     lb = bch_lower_bound(code)
+    rng = _WitnessSearch(code, cfg).rng
+    H = code.parity_check_matrix()
+    stream = [H[:, rng.permutation(code.n)[::-1]].tobytes()
+              for _ in range(cfg.isd_iterations)]
+    reduced = []
+
+    def recording(M, st):
+        reduced.append(M.tobytes())
+        return _rref_codes(M, st)
+
+    def quick_then_resumed(c):
+        search = _WitnessSearch(code, cfg)
+        reduced.clear()
+        with mock.patch.object(cyclic, "_rref_codes", recording):
+            quick = search.run(lb, stall=ISD_STALL)
+            quick_sets = search.sets
+            again = search.run(c)
+        return quick, quick_sets, again, search.sets, list(reduced)
+
     reach = _WitnessSearch(code, cfg).run(lb)[0]  # best of the whole budget
-    for c in range(max(lb, reach - 1), reach + 2):
-        resumed = _WitnessSearch(code, cfg)
-        quick = resumed.run(lb, stall=ISD_STALL)
-        quick_sets = resumed.sets
-        again = resumed.run(c)
+    lo = max(lb, reach - 1)
+    for c in range(lo, reach + 2):
+        quick, quick_sets, again, sets, drawn = quick_then_resumed(c)
+        assert drawn == stream[:sets]  # no set drawn twice or skipped
         if quick[0] <= c:
             # already done: no further set is drawn
-            assert (again, resumed.sets) == (quick, quick_sets)
+            assert (again, sets) == (quick, quick_sets)
             continue
-        fresh = _WitnessSearch(code, cfg)
-        weight, word = fresh.run(c)
-        assert again[0] == weight and np.array_equal(again[1], word)
-        assert resumed.sets == fresh.sets > quick_sets
+        assert sets > quick_sets and again[0] <= quick[0]
+        if c > lo:  # a pass that resumes to c resumes to lo too
+            continue
+        twin = quick_then_resumed(c)
+        assert (twin[2][0], twin[3], twin[4]) == (again[0], sets, drawn)
+        assert np.array_equal(twin[2][1], again[1])
+        # without the step the resumed pass is a fresh full run
+        with mock.patch.object(cyclic, "_collisions", lambda *a: None):
+            plain = _WitnessSearch(code, cfg)
+            plain.run(lb, stall=ISD_STALL)
+            plain_again = plain.run(c)
+            fresh = _WitnessSearch(code, cfg)
+            weight, word = fresh.run(c)
+        assert plain_again[0] == weight and plain.sets == fresh.sets
+        assert np.array_equal(plain_again[1], word)
 
 
 @pytest.mark.parametrize("q", DIFF_QS)
@@ -780,14 +816,15 @@ def _binary_31(*, high_rate):
     return CyclicCode(F, g)
 
 
-def _check_witness_draw(code, seed=None):
+def _check_witness_draw(code, seed=None, collide=False):
     # reference: the generator reduced on the same permutation, its single
     # rows, then every R[i] + c * R[j] in (c, i, j) order, each counted
     # directly; a word replaces the best only when it is strictly
     # lighter, so among equal pairs the first one stays.  The draw itself
     # reduces the parity-check matrix, so agreeing with the reference
     # also checks that reduction against the generator's.  Without a seed
-    # the search keeps the RNG it seeds from the code.
+    # the search keeps the RNG it seeds from the code.  With ``collide``
+    # the 2 + 2 words of the collision step follow (``_two_plus_two``).
     st = code.field.subfield_tables()
     search = _WitnessSearch(code, DistanceConfig())
     if seed is not None:
@@ -795,8 +832,15 @@ def _check_witness_draw(code, seed=None):
     rng = np.random.default_rng()
     rng.bit_generator.state = search.rng.bit_generator.state
     perm = rng.permutation(code.n)
-    search._draw(st, 0)  # below every weight: the pairs are scored
-    R = _rref_codes(code.generator_matrix()[:, perm], st)[0]
+    collisions, steps = cyclic._collisions, []
+
+    def step(*args):  # the collision step, its result kept
+        steps.append(collisions(*args))
+        return steps[-1]
+
+    with mock.patch.object(cyclic, "_collisions", step):
+        search._draw(st, 0, collide=collide)  # below every weight
+    R, pivots = _rref_codes(code.generator_matrix()[:, perm], st)
     c = np.arange(1, code.q)[:, None, None, None]
     pairs = st.add[R[None, :, None], st.mul[c, R[None, None, :]]]
     best_w, best = code.n + 1, None
@@ -807,9 +851,59 @@ def _check_witness_draw(code, seed=None):
     for (ci, i, j), w in np.ndenumerate(weights):
         if i != j and w < best_w:
             best_w, best = int(w), pairs[ci, i, j]
+    if collide and best_w > 4:  # else no 2 + 2 word can be lighter
+        (got,) = steps
+        found = _check_collisions(got, R, pivots, st)
+        if found is not None and found[0] < best_w:
+            best_w, best = found
+    else:
+        assert steps == []
     out = np.zeros(code.n, dtype=np.uint8)
     out[perm] = best
     assert search.best_w == best_w and np.array_equal(search.best_c, out)
+
+
+def _check_collisions(got, R, pivots, st):
+    """Assert that the collision step's result ``got`` is the brute
+    force's (``_two_plus_two``) on the systematic R, lighter than the
+    set's rows and pairs or not; return the brute force's."""
+    found = _two_plus_two(R, pivots, st)
+    assert (got is None) == (found is None)
+    if found is not None:
+        word = np.zeros(R.shape[1], dtype=np.uint8)
+        for i, c in got[1]:
+            word = st.add[word, st.mul[c, R[i]]]
+        assert got[0] == found[0] and np.array_equal(word, found[1])
+    return found
+
+
+def _two_plus_two(R, pivots, st):
+    """Brute-force collision step: the first lightest of every
+    R[i] + c R[j] + c' R[u] + c'' R[v], i < j < k // 2 <= u < v, in the
+    order (i, j, c, u, v, c', c''), that is zero on the window, the last
+    l check columns, with l = round(log_q |Y|) kept in 1..n - k - 1;
+    (weight, word), or None for k < 4, n - k < 2 or no such word."""
+    k, n = R.shape
+    q, r = st.q, n - k
+    if k < 4 or r < 2:
+        return None
+    h = k // 2
+    ny = math.comb(k - h, 2) * (q - 1) ** 2
+    ell = min(max(1, round(math.log(ny, q))), r - 1)
+    window = np.setdiff1d(np.arange(n), pivots)[-ell:]
+    scalars = range(1, q)
+    xs = [st.add[R[i], st.mul[c, R[j]]]
+          for i, j in itertools.combinations(range(h), 2) for c in scalars]
+    ys = [st.add[st.mul[c, R[u]], st.mul[d, R[v]]]
+          for u, v in itertools.combinations(range(h, k), 2)
+          for c in scalars for d in scalars]
+    words = st.add[np.array(xs)[:, None], np.array(ys)[None]]
+    weights = np.count_nonzero(words, axis=2)
+    weights[(words[:, :, window] != 0).any(axis=2)] = n + 1
+    x, y = np.unravel_index(np.argmin(weights), weights.shape)
+    if weights[x, y] > n:
+        return None
+    return int(weights[x, y]), words[x, y]
 
 
 @pytest.mark.parametrize("q", DIFF_QS)
@@ -832,6 +926,70 @@ def test_rref_via_parity_on_both_rates():
            lambda c: 2 <= c.k < c.n))
 def test_witness_draw_takes_the_first_lightest_pair(code):
     _check_witness_draw(code)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=hst.data(), seed=hst.integers(0, 2**32 - 1))
+def test_resumed_draw_matches_brute_force(q, data, seed):
+    # rows, pairs, then the collision step's 2 + 2 words (k <= 12)
+    code = data.draw(random_cyclic_codes(
+        max_n=80, max_size=q**12, qs=(q,)).filter(lambda c: c.k < c.n))
+    _check_witness_draw(code, seed, collide=True)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(k=hst.integers(1, 12), r=hst.integers(1, 14),
+       seed=hst.integers(0, 2**32 - 1))
+@example(k=3, r=6, seed=0)  # k < 4: skipped
+@example(k=4, r=6, seed=1)  # one key a side
+@example(k=12, r=3, seed=2)  # l clamped to n - k - 1
+@example(k=12, r=1, seed=3)  # n - k < 2: skipped
+def test_collision_step_matches_brute_force_on_any_block(q, k, r, seed):
+    # A is any (n - k) x k block: the systematic R is I_k on the first k
+    # columns and -A on the others, A's row 0 last, so the window, A's
+    # first l rows, is R's last l columns
+    m = min(m for p, m in REG.pairs() if p == q)
+    st = REG.field(q, m).subfield_tables()
+    A = np.random.default_rng(seed).integers(0, q, (r, k)).astype(np.uint8)
+    R = np.concatenate([np.eye(k, dtype=np.uint8), st.neg[A[::-1].T]], 1)
+    windows = []  # the rows of each window key table
+
+    def key_table(M, st):
+        windows.append(len(M))
+        return _key_table(M, st)
+
+    with mock.patch.object(cyclic, "_key_table", key_table):
+        got = cyclic._collisions(A, st, DistanceConfig().mitm_side_limit)
+    _check_collisions(got, R, range(k), st)
+    if k < 4 or r < 2:
+        assert windows == []
+    else:
+        ny = math.comb(k - k // 2, 2) * (q - 1) ** 2
+        assert windows[0] == min(max(1, round(math.log(ny, q))), r - 1)
+
+
+def test_collision_step_over_the_side_limit_is_skipped():
+    # row D7/14: side Y holds C(48, 2) * 4^2 = 18,048 keys.  Over the
+    # limit no key table is built (a build here would raise) and the
+    # resumed pass is rows and pairs alone, which reach 13 at set 48
+    code = build(5, 3, "D", 11, "1")
+    lb = bch_lower_bound(code)
+
+    def resumed(limit):
+        search = _WitnessSearch(code, DistanceConfig(mitm_side_limit=limit))
+        search.run(lb, stall=ISD_STALL)
+        return search.run(lb), search.sets
+
+    with mock.patch.object(cyclic, "_key_table", side_effect=MemoryError):
+        (w, word), sets = resumed(18_047)
+        with mock.patch.object(cyclic, "_collisions", lambda *a: None):
+            (w0, word0), sets0 = resumed(18_047)
+    assert (w, sets) == (w0, sets0) == (13, 48)
+    assert np.array_equal(word, word0)
+    (w, _), sets = resumed(18_048)  # at the limit the step runs
+    assert (w, sets) == (13, 3)
 
 
 def test_witness_draw_at_the_floor_scores_no_pairs(monkeypatch):
