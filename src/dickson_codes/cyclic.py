@@ -39,11 +39,12 @@ Distance strategy, in order:
   (times an odd constant, a bijection): 8 bytes a key.  The top bits of
   the sorted hashes set a one-hash bloom filter packed eight to a byte,
   so a level holds A's hashes, the filter, the level below each side's
-  last and a few blocks.  B's hashed blocks are screened by the filter
-  and their survivors, sorted, by a binary search in A's hashes.  On a
-  match A is built again to find the entries of the matched hashes;
-  only the matched pairs are unranked into supports and coefficients,
-  and they are confirmed on the other words.
+  last and three block-long rows, reused by every block of 128 KiB or
+  more (smaller ones come from the heap).  B's hashed blocks are
+  screened by the filter and their survivors, sorted, by a binary search
+  in A's hashes.  On a match A is built again to find the entries of the
+  matched hashes; only the matched pairs are unranked into supports and
+  coefficients, and they are confirmed on the other words.
 * **witness search** - a seeded information-set search provides verified
   low-weight codewords cheaply.  When the best witness weight equals the
   certified lower bound the distance is exact even where a full MITM
@@ -65,11 +66,15 @@ Distance strategy, in order:
   pairs are not scored.  A pair's weight counts where the columns
   A[:, i] and -c * A[:, j] differ: codes are packed as ceil(log2 q) bit
   planes of 64-bit words, and the count is the popcount of the planes'
-  XORs, ORed together.  The resumed pass also takes Stern's collision
-  step (Stern 1989; Peters 2010 over GF(q)) in each set: two rows from
-  each half of the information columns, joined on MITM keys of A's first
-  l rows.  It draws no random numbers, so the resumed pass draws the
-  sets a fresh search draws and may only find lighter words in them.
+  XORs, ORed together, over blocks of rows i.  The resumed pass also
+  takes Stern's collision step (Stern 1989; Peters 2010 over GF(q)) in
+  each set: two rows from each half of the information columns, joined
+  on MITM keys of A's first l rows.  It draws no random numbers, so the
+  resumed pass draws the sets a fresh search draws and may only find
+  lighter words in them.  Each temporary of a blocked kernel stays
+  within ``_BLOCK_BYTES``, so glibc serves it from its heap and reuses
+  the freed pages: one of 128 KiB or more would be a fresh mapping, its
+  pages faulted and zeroed on every use.
 
 One witness convention: each engine reports its weight and its lightest
 words, and ``minimum_distance`` alone turns them into the witness.  It
@@ -101,6 +106,7 @@ from .polyring import Poly, coset_table
 ISD_SEED = 20240915  # with the generator, seeds the witness search's RNG
 ISD_STALL = 1  # quick witness pass: iterations allowed without improvement
 MITM_CHUNK = 1 << 16  # keys generated at a time on either MITM side
+_BLOCK_BYTES = 1 << 16  # a blocked temporary: half glibc's mmap threshold
 
 
 @dataclass(frozen=True)
@@ -264,14 +270,16 @@ def codeword_blocks(code: CyclicCode):
                         code.field.subfield_tables())
 
 
-def _pinned_blocks(code: CyclicCode):
+def _pinned_blocks(code: CyclicCode, reuse: bool = False):
     """Yield the codewords m(x) g(x) with m_0 = 1 / g_0 and, for k >= 2,
     m_{k-1} = 0: q^(k-2) words with c_0 = 1 and c_{n-1} = 0, holding a
     shift and multiple of every codeword of weight below n (module
-    docstring).  For k = 1 the one word g / g_0."""
+    docstring).  For k = 1 the one word g / g_0.  ``reuse``: see
+    ``_span_blocks``."""
     st = code.field.subfield_tables()
     G = code.generator_matrix()
-    return _span_blocks(G[1 : code.k - 1], st.mul[st.inv[G[0, 0]], G[0]], st)
+    return _span_blocks(G[1 : code.k - 1], st.mul[st.inv[G[0, 0]], G[0]], st,
+                        reuse)
 
 
 def _span(rows: np.ndarray, base: np.ndarray,
@@ -287,42 +295,55 @@ def _span(rows: np.ndarray, base: np.ndarray,
     return table
 
 
-def _span_blocks(rows: np.ndarray, base: np.ndarray, st: SubfieldTables):
+def _span_blocks(rows: np.ndarray, base: np.ndarray, st: SubfieldTables,
+                 reuse: bool = False):
     """Yield base + every GF(q) combination of ``rows`` exactly once, as
     uint8 blocks of subfield codes with shape (block, n).
 
     The span of the first ``a`` rows (q^a <= 2^16) is the low table, and
     base plus the span of the others is the outer table, both by
     ``_span``; each block is the low table translated by one column of the
-    outer table.  Under the default enumeration cap (q^k <= 2^22) the
-    outer table holds at most max(1, 64 / q) words for the pinned walk
-    (k - 2 rows) and fewer than 64 q for ``weight_distribution`` (k rows),
-    so the working set is the low table plus one block.
+    outer table, coordinate by coordinate through one reused ``intp``
+    row (``np.take`` would widen the uint8 indices into a new array).
+    Under the default enumeration cap (q^k <= 2^22) the outer table holds
+    at most max(1, 64 / q) words for the pinned walk (k - 2 rows) and
+    fewer than 64 q for ``weight_distribution`` (k rows), so the working
+    set is the low table plus one block: a new array, or with ``reuse``
+    the call's one buffer, which the next block overwrites.
     """
     q, n, k = st.q, len(base), len(rows)
     a = 0
     while a < k and q ** (a + 1) <= _SPAN_ROWS:
         a += 1
     low = _span(rows[:a], np.zeros(n, dtype=np.uint8), st)
+    at, block = np.empty(low.shape[1], dtype=np.intp), None
     for outer in _span(rows[a:], base, st).T:
         shift = st.add[outer]  # (n, q): shift[j, x] = outer[j] + x
-        block = np.empty_like(low)
+        if block is None or not reuse:
+            block = np.empty_like(low)
         for j in range(n):
-            np.take(shift[j], low[j], out=block[j])
+            at[:] = low[j]
+            np.take(shift[j], at, out=block[j], mode="clip")
         yield block.T
 
 
 def _exhaustive_distance(code: CyclicCode) -> tuple[int, np.ndarray]:
     """Minimum weight and every pinned codeword (``_pinned_blocks``) of that
     weight, in one pass; they hold a shift and multiple of every
-    minimum-weight codeword."""
-    best_w, lightest = code.n + 1, []
-    for block in _pinned_blocks(code):
-        weights = np.count_nonzero(block, axis=1)  # c_0 = 1: never zero
+    minimum-weight codeword.  The blocks share one buffer, and their
+    weights, summed one coordinate (a row of that buffer) at a time,
+    share one narrow array."""
+    best_w, lightest, weights = code.n + 1, [], None
+    for block in _pinned_blocks(code, reuse=True):
+        if weights is None:  # every block has as many words
+            weights = np.empty(len(block), np.min_scalar_type(code.n))
+        weights[:] = 0
+        for coord in block.T:
+            weights += coord != 0  # c_0 = 1: never zero
         w = int(weights.min())
         if w < best_w:
             best_w, lightest = w, []
-        if w == best_w:
+        if w == best_w:  # a copy, which outlives the block
             lightest.append(block[weights == w])
     return best_w, np.concatenate(lightest)
 
@@ -420,18 +441,21 @@ def _key_table(H: np.ndarray, st: SubfieldTables) -> np.ndarray:
         axis=-1, dtype=np.uint64)
 
 
-def _lane_add(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Lane-wise sum of two key arrays (broadcast) over GF(p), as a new
-    array.  For p = 2 the sum is XOR.  Otherwise an add leaves lanes of
-    b = ``_lane_bits(p)`` bits in 0..2p-2; biasing each by 2^(b-1) - p
-    sets its top bit where it reached p, and p is subtracted there
-    (SWAR)."""
+def _lane_add(x: np.ndarray, y: np.ndarray, p: int,
+              out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+    """Lane-wise sum of two key arrays (broadcast) over GF(p), into ``out``
+    or a new array; ``tmp``, of the result's shape and possibly ``y``,
+    takes the carries.  For p = 2 the sum is XOR.  Otherwise an add
+    leaves lanes of b = ``_lane_bits(p)`` bits in 0..2p-2; biasing each by
+    2^(b-1) - p sets its top bit where it reached p, and p is subtracted
+    there (SWAR)."""
     if p == 2:
-        return x ^ y
+        return np.bitwise_xor(x, y, out=out)
     b = _lane_bits(p)
     ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # 1 in every lane
-    keys = x + y
-    over = keys + np.uint64(((1 << (b - 1)) - p) * ones)
+    keys = np.add(x, y, out=out)
+    over = np.add(keys, np.uint64(((1 << (b - 1)) - p) * ones), out=tmp)
     over &= np.uint64((1 << (b - 1)) * ones)
     over >>= np.uint64(b - 1)
     over *= np.uint64(p)
@@ -452,13 +476,14 @@ def _side_keys(table: np.ndarray, pos: np.ndarray, coeffs: np.ndarray,
 
 
 def _nested_keys(table0: np.ndarray, base: np.uint64, w: int, span: int,
-                 p: int):
+                 p: int, bufs: np.ndarray | None = None):
     """Yield (first index, keys) blocks of about ``MITM_CHUNK`` word-0
     keys: base plus the keys of sum_s c_s * H[:, pos_s] (``table0`` is
     ``_key_table``'s word 0) over the size-w supports pos of 1..span and
     the coefficient tuples c over GF(q)*.  The key at index r (q-1)^w + i
     has the support of colex rank r (``_colex_unrank``) and the tuple of
-    rank i (``_coeff_digits``).
+    rank i (``_coeff_digits``).  Blocks are built in ``bufs`` as
+    ``_extend`` says: with it, a block lives only until the next one.
 
     Colex nests: the supports of size j ending at ``last`` are those of
     size j - 1 below ``last``, each extended by it, and those form a
@@ -478,7 +503,7 @@ def _nested_keys(table0: np.ndarray, base: np.uint64, w: int, span: int,
         # row r of level j is one key of level j - 1 extended by one
         # position; the first starts[x] rows end below position x + 1
         starts = combs[j, : top + 1] * K ** (j - 1)
-        blocks = _extend(level, table0[1 : top + 1, 1:], starts, p)
+        blocks = _extend(level, table0[1 : top + 1, 1:], starts, p, bufs)
         if j == w:
             yield from blocks
         else:
@@ -488,18 +513,30 @@ def _nested_keys(table0: np.ndarray, base: np.uint64, w: int, span: int,
 
 
 def _extend(prev: np.ndarray, entries: np.ndarray, starts: np.ndarray,
-            p: int):
+            p: int, bufs: np.ndarray | None = None):
     """Blocks of prev[i] + entries[x, c] (``_nested_keys``): row r with
     starts[x] <= r < starts[x + 1] extends prev[r - starts[x]] by
-    position x + 1 with each coefficient c, the coefficient minor."""
+    position x + 1 with each coefficient c, the coefficient minor.
+
+    A block has at most max(``MITM_CHUNK``, K) keys.  One of 128 KiB or
+    more (glibc's mmap threshold) is built in row 0 of ``bufs``, a MITM
+    level's three uint64 rows, from its runs' entries in row 1 (then its
+    carries) and its slices of prev in row 2; it lives until the next
+    block, and rows 1-2 are the caller's in between.  Smaller blocks are
+    new arrays, served from glibc's heap.
+    """
     K = entries.shape[1]
     total, step = int(starts[-1]), max(1, MITM_CHUNK // K)
     for r0 in range(0, total, step):
         r1 = min(r0 + step, total)
+        big = bufs is not None and (r1 - r0) * K * 8 >= 2 * _BLOCK_BYTES
+        keys, tmp = (bufs[:2, : (r1 - r0) * K].reshape(2, -1, K) if big
+                     else (None, None))
         a = int(starts.searchsorted(r0, side="right")) - 1  # row r0 ends
         # at position a + 1
         if len(prev) == 1:  # one row a position, from a on
-            pre, add = prev[:, None], entries[a : a + r1 - r0]
+            keys = _lane_add(prev[:, None], entries[a : a + r1 - r0], p,
+                             keys, tmp)
         else:  # one run of rows per position a..b-1; all but the first
             # read prev from its start
             b = int(starts.searchsorted(r1))
@@ -507,10 +544,21 @@ def _extend(prev: np.ndarray, entries: np.ndarray, starts: np.ndarray,
             edges[0], edges[-1] = r0, r1
             runs = [hi - lo for lo, hi in zip(edges, edges[1:])]
             skip = r0 - int(starts[a])
-            pre = np.concatenate([prev[skip : skip + runs[0]]]
-                                 + [prev[:run] for run in runs[1:]])[:, None]
-            add = np.repeat(entries[a:b], runs, axis=0)
-        yield r0 * K, _lane_add(pre, add, p).reshape(-1)
+            pre = [prev[skip : skip + runs[0]]] + [prev[:run]
+                                                   for run in runs[1:]]
+            if big:  # each run's entries copied into the carries' row,
+                # the K keys of a position as one item
+                item = np.dtype((np.void, 8 * K))
+                fill = bufs[1, : (r1 - r0) * K].view(item)
+                whole = np.ascontiguousarray(entries[a:b]).view(item)[:, 0]
+                for i, lo, hi in zip(range(b - a), edges, edges[1:]):
+                    fill[lo - r0 : hi - r0] = whole[i]
+                keys = _lane_add(np.concatenate(pre, out=bufs[2, : r1 - r0])
+                                 [:, None], tmp, p, keys, tmp)
+            else:
+                keys = _lane_add(np.concatenate(pre)[:, None],
+                                 np.repeat(entries[a:b], runs, axis=0), p)
+        yield r0 * K, keys.reshape(-1)
 
 
 def _hash(keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -522,26 +570,37 @@ def _hash(keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit i of a byte
 
 
-def _bloom_addr(hashes: np.ndarray, bits: int) -> np.ndarray:
-    return (hashes >> np.uint64(64 - bits)).view(np.int64)
+def _bloom_addr(hashes: np.ndarray, bits: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    return np.right_shift(hashes, np.uint64(64 - bits), out=out).view(np.int64)
 
 
-def _bloom_add(bloom: np.ndarray, hashes: np.ndarray, bits: int) -> None:
-    """Set the bits of sorted ``hashes`` in a filter of 2^bits bits packed
-    eight to a ``uint8``.  A hash's address is its top bits, so the
-    addresses come sorted too: each stretch of at most 2^20 bits that
-    they reach is marked in a ``bool`` array and packed into the filter's
-    bytes with one ``packbits``."""
-    addr = _bloom_addr(hashes, bits)
-    lo = 0
-    while lo < len(addr):
-        first = int(addr[lo]) & ~7  # a byte boundary
-        hi = int(addr.searchsorted(first + (1 << 20)))
-        marks = np.zeros(int(addr[hi - 1]) - first + 1, dtype=bool)
-        marks[addr[lo:hi] - first] = True
-        packed = np.packbits(marks, bitorder="little")
-        bloom[first >> 3 : (first >> 3) + len(packed)] |= packed
-        lo = hi
+def _bloom(hashes: np.ndarray, scratch: np.ndarray | None):
+    """The bloom filter of sorted ``hashes``, as (filter, bits): 2^bits
+    bits, about 16 a hash, packed eight to a ``uint8``.  A hash's address
+    is its top bits, so the addresses (``MITM_CHUNK`` at a time, in the
+    int64 row ``scratch`` or new arrays) come sorted too: each stretch of
+    at most 2^20 bits that they reach is marked in the filter's one
+    ``bool`` array and packed into its bytes with one ``packbits``."""
+    bits = min(max(len(hashes).bit_length() + 4, 12), 26)
+    bloom = np.zeros(1 << (bits - 3), dtype=np.uint8)
+    marks = np.zeros(min(1 << 20, 1 << bits), dtype=bool)
+    for lo in range(0, len(hashes), MITM_CHUNK):
+        chunk = hashes[lo : lo + MITM_CHUNK]
+        addr = _bloom_addr(chunk, bits,
+                           None if scratch is None else scratch[: len(chunk)])
+        i = 0
+        while i < len(addr):
+            first = int(addr[i]) & ~7  # a byte boundary
+            j = i + int(addr[i:].searchsorted(first + (1 << 20)))
+            at = addr[i:j]
+            at -= first
+            marks[at] = True
+            packed = np.packbits(marks[: int(at[-1]) + 1], bitorder="little")
+            bloom[first >> 3 : (first >> 3) + len(packed)] |= packed
+            marks[at] = False  # clear for the next stretch
+            i = j
+    return bloom, bits
 
 
 def _equal_keys(ordered: np.ndarray, probe: np.ndarray):
@@ -577,30 +636,42 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     span = _mitm_span(n, w)
     word0 = table[:, :, 0]
     neg0 = table[:, st.neg, 0]  # A's keys are negated syndromes
+    sides = _mitm_sides(n, q, w)
+    # rows for blocks past glibc's mmap threshold (``_extend``); between
+    # blocks rows 1-2 take the bloom addresses and their bytes
+    bufs = (np.empty((3, max(MITM_CHUNK, q - 1)), np.uint64)
+            if max(sides) * 8 >= 2 * _BLOCK_BYTES else None)
+
+    def row(i, size):  # int64 scratch: a prefix of row i, or a new array
+        return None if bufs is None else bufs[i, :size].view(np.int64)
 
     def side_a():  # position 0 pinned to coefficient 1
-        return _nested_keys(neg0, neg0[0, 1], w1 - 1, span, p)
+        return _nested_keys(neg0, neg0[0, 1], w1 - 1, span, p, bufs)
 
     # A is never the larger side: hold its hashes, sorted.  A one-hash
     # bloom filter sized to A screens out almost every B key before the
     # binary search, which dominates otherwise.
-    hashes = np.empty(_mitm_sides(n, q, w)[0], dtype=np.uint64)
+    hashes = np.empty(sides[0], dtype=np.uint64)
     for lo, keys in side_a():
         _hash(keys, out=hashes[lo : lo + len(keys)])
     hashes.sort()
-    bloom_bits = min(max(len(hashes).bit_length() + 4, 12), 26)
-    bloom = np.zeros(1 << (bloom_bits - 3), dtype=np.uint8)
-    for lo in range(0, len(hashes), MITM_CHUNK):
-        _bloom_add(bloom, hashes[lo : lo + MITM_CHUNK], bloom_bits)
-
+    # a level of at most MITM_CHUNK / 64 keys a side skips the filter: its
+    # few B keys, sorted, search A's hashes, which fit in cache, directly
+    tiny = max(sides) <= MITM_CHUNK // 64
+    bloom, bits = (None, 0) if tiny else _bloom(hashes, row(1, MITM_CHUNK))
     hits_b, hit_hashes = [], []
-    for lo, keys in _nested_keys(word0, np.uint64(0), w2, span, p):
+    for lo, keys in _nested_keys(word0, np.uint64(0), w2, span, p, bufs):
         _hash(keys, out=keys)
-        addr = _bloom_addr(keys, bloom_bits)
-        maybe = (bloom[addr >> 3] & _BIT[addr & 7]).nonzero()[0]
+        if tiny:
+            maybe = keys.argsort()
+        else:  # most survivors are false positives
+            addr = _bloom_addr(keys, bits, row(1, len(keys)))
+            byte = np.right_shift(addr, 3, out=row(2, len(keys)))
+            addr &= 7
+            maybe = (bloom.take(byte) & _BIT.take(addr)).nonzero()[0]
+            maybe = maybe[keys[maybe].argsort()]
         # sorted probes walk A's sorted hashes in order, which keeps the
-        # search in cache; most survivors are false positives
-        maybe = maybe[keys[maybe].argsort()]
+        # search in cache
         probe = keys[maybe]
         left = hashes.searchsorted(probe)
         real = hashes[np.minimum(left, len(hashes) - 1)] == probe
@@ -610,15 +681,19 @@ def _mitm_level(code: CyclicCode, table: np.ndarray,
     if not len(matched):
         return None
     # A rebuilt, block by block, for the entries of the matched hashes,
-    # grouped by hash: one entry per (A, B) pair matching on word 0
-    wanted = np.sort(matched)
+    # grouped by hash: one entry per (A, B) pair matching on word 0; the
+    # search's index arrays are kept to heap-sized parts of a block
+    wanted, part = np.sort(matched), _BLOCK_BYTES // 8
     ai, ah = [], []
     for lo, keys in side_a():
-        keys = _hash(keys)
-        at = wanted.searchsorted(keys)
-        found = (wanted[np.minimum(at, len(wanted) - 1)] == keys).nonzero()[0]
-        ai.append(found + lo)
-        ah.append(keys[found])
+        _hash(keys, out=keys)
+        for s in range(0, len(keys), part):
+            keys_s = keys[s : s + part]
+            at = wanted.searchsorted(keys_s)
+            found = (wanted[np.minimum(at, len(wanted) - 1)]
+                     == keys_s).nonzero()[0]
+            ai.append(found + lo + s)
+            ah.append(keys_s[found])
     ah = np.concatenate(ah)
     order = ah.argsort(kind="stable")
     ai, grouped = np.concatenate(ai)[order], ah[order]
@@ -816,14 +891,11 @@ class _WitnessSearch:
         if weights[i] < best_w:
             best_w, rows = int(weights[i]), [(i, 1)]
         if best_w > floor:  # else the row is a minimum word: no pair beats it
-            pw = _pair_weights(A.T, st)  # -A has the zeros of A
-            diag = np.arange(k)
-            pw[:, diag, diag] = n + 1  # i = j is no pair
-            # the first minimum in (c, i, j) order: an equal weight found
-            # later never replaces the best word
-            c, i0, j0 = np.unravel_index(np.argmin(pw), pw.shape)
-            if pw[c, i0, j0] < best_w:
-                best_w, rows = int(pw[c, i0, j0]), [(i0, 1), (j0, c + 1)]
+            # -A has the zeros of A; an equal pair found later never
+            # replaces the best word
+            w, c, i, j = _pair_weights(A.T, st)
+            if w < best_w:
+                best_w, rows = w, [(i, 1), (j, c)]
         if collide and best_w > max(floor, 4):  # 2 + 2 words weigh >= 4
             found = _collisions(A, st, self.cfg.mitm_side_limit)
             if found is not None and found[0] < best_w:
@@ -885,35 +957,51 @@ def _collisions(A: np.ndarray, st: SubfieldTables, limit: int):
     return int(weights[best]), list(zip(pos[best], coeffs[best]))
 
 
-def _pair_weights(P: np.ndarray, st: SubfieldTables) -> np.ndarray:
-    """Weights of R[i] + c * R[j] for every row pair of a systematic R whose
-    non-pivot part is P or -P (k x L), as an array [c - 1, i, j]: 2 for the
-    pivots plus the nonzero count of P[i] + c * P[j].
+def _pair_weights(P: np.ndarray, st: SubfieldTables):
+    """The lightest R[i] + c * R[j], i != j, of a systematic R whose
+    non-pivot part is P or -P (k x L), the first in (c, i, j) order, as
+    (weight, c, i, j): 2 for the pivots plus the nonzero count of
+    P[i] + c * P[j].  For k = 1, no pair: weight L + 3, above any word's.
 
     That sum is nonzero at l iff P[i, l] != -c * P[j, l].  Each code's
     ceil(log2 q) bits are packed as bit planes, 64 columns to a word; two
     codes differ where any plane differs, so the count is the popcount of
-    the planes' XORs, ORed together.
+    the planes' XORs, ORed together, in blocks of rows i whose XOR takes
+    at most ``_BLOCK_BYTES``, into two arrays that every block reuses.
     """
-    k, L = P.shape
-    q = st.q
+    (k, L), q = P.shape, st.q
     scalars = np.arange(1, q)[:, None, None]
-    # row (c - 1) * k + j is -c * P[j]
-    neg = st.neg[st.mul[scalars, P]].reshape((q - 1) * k, L)
-    b = (q - 1).bit_length()
+    neg = st.neg[st.mul[scalars, P]]  # neg[c - 1, j] is -c * P[j]
+    b, W = (q - 1).bit_length(), max(1, -(-L // 64))  # L = 0: one word
     shifts = np.arange(b, dtype=np.uint8)[:, None, None]
 
-    def planes(M):  # (rows, L) codes -> (b, rows, words) uint64
-        bits = np.zeros((b, len(M), L + -L % 64), dtype=np.uint8)
-        bits[:, :, :L] = M >> shifts & 1
-        return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    def planes(M):  # (rows, L) codes -> (b, rows, W) uint64
+        words = np.zeros((b, len(M), W * 8), dtype=np.uint8)
+        words[:, :, : -(-L // 8)] = np.packbits(M >> shifts & 1, axis=2,
+                                                bitorder="little")
+        return words.view(np.uint64)
 
-    mine, theirs = planes(P), planes(neg)
-    differ = mine[0][:, None] ^ theirs[0][None]
-    for x, y in zip(mine[1:], theirs[1:]):
-        differ |= x[:, None] ^ y[None]
-    count = np.bitwise_count(differ).sum(axis=2, dtype=np.intp)
-    return 2 + count.reshape(k, q - 1, k).transpose(1, 0, 2)
+    mine = planes(P)[:, None, :, None]  # axes: plane, c, i, j, word
+    theirs = planes(neg.reshape((q - 1) * k, L)).reshape(b, q - 1, 1, k, W)
+    best = (L + 3, 1, 0, 0)
+    step = min(k, max(1, _BLOCK_BYTES // theirs[0].nbytes))
+    # a block's XOR and one plane's, reused by every block: rows i on axis 1
+    bufs = np.empty((2, q - 1, step, k, W), dtype=np.uint64)
+    for i0 in range(0, k, step):
+        rows = np.arange(min(step, k - i0))
+        differ, plane = bufs[:, :, : len(rows)]
+        np.bitwise_xor(mine[0, :, i0 : i0 + step], theirs[0], out=differ)
+        for x, y in zip(mine[1:, :, i0 : i0 + step], theirs[1:]):
+            differ |= np.bitwise_xor(x, y, out=plane)
+        np.bitwise_count(differ, out=differ)
+        count = differ[..., 0]  # summed over the words in place
+        for w in range(1, W):
+            count += differ[..., w]
+        count[:, rows, rows + i0] = L + 1  # i = j is no pair
+        at = int(count.argmin())  # (c, i, j) flat, in order
+        c, i, j = at // (len(rows) * k), at // k % len(rows), at % k
+        best = min(best, (2 + int(count[c, i, j]), c + 1, i0 + i, j))
+    return best
 
 
 # -- top-level distance -------------------------------------------------------

@@ -5,7 +5,11 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -653,6 +657,29 @@ def test_nested_keys_match_side_keys(q, data, seed):
         table[:, :, 0], table[0, 1, 0], 0, span, st.p)] == [[table[0, 1, 0]]]
 
 
+@pytest.mark.parametrize("q", DIFF_QS)
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_nested_keys_in_level_buffers_match_new_arrays(q, chunk):
+    # with the block byte constant at 1 every block counts as past the
+    # mmap threshold, so each is built run by run into the level's rows
+    # (reused: copied before the next); they equal the new-array blocks
+    m = min(m for p, m in REG.pairs() if p == q)
+    st = REG.field(q, m).subfield_tables()
+    H = np.random.default_rng(q).integers(0, q, (4, 10)).astype(np.uint8)
+    table = _key_table(H, st)
+    bufs = np.empty((3, max(chunk, q - 1)), dtype=np.uint64)
+    for w in (1, 2, 3):
+        for table0, base in [(table[:, :, 0], np.uint64(0)),
+                             (table[:, st.neg, 0], table[0, st.neg[1], 0])]:
+            with mock.patch.object(cyclic, "MITM_CHUNK", chunk):
+                ref = [(lo, keys.tolist()) for lo, keys
+                       in _nested_keys(table0, base, w, 9, st.p)]
+                with mock.patch.object(cyclic, "_BLOCK_BYTES", 1):
+                    got = [(lo, keys.tolist()) for lo, keys
+                           in _nested_keys(table0, base, w, 9, st.p, bufs)]
+            assert got == ref
+
+
 def test_wide_syndrome_keeps_mitm_exact():
     # 11 check rows of 2 GF(3) digits: 22 digits, two words of 21 lanes
     code = build(9, 2, "D", 7, "0")
@@ -787,23 +814,34 @@ def test_resumed_witness_search_continues_the_fresh_stream(code):
 @pytest.mark.parametrize("q", DIFF_QS)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(k=hst.integers(1, 12), L=hst.integers(0, 140),
-       seed=hst.integers(0, 2**32 - 1))
-@example(k=1, L=1, seed=0)
-@example(k=1, L=7, seed=1)
-@example(k=6, L=1, seed=2)
-@example(k=5, L=64, seed=3)  # bit planes of one 64-bit word, full
-@example(k=5, L=65, seed=4)  # two words
-@example(k=7, L=128, seed=5)
-@example(k=7, L=129, seed=6)  # three words
-def test_pair_weights_match_table_count(q, k, L, seed):
+       seed=hst.integers(0, 2**32 - 1), rows=hst.integers(1, 12))
+@example(k=1, L=1, seed=0, rows=1)  # no pair
+@example(k=1, L=7, seed=1, rows=12)
+@example(k=2, L=3, seed=2, rows=1)  # one pair each way, two blocks
+@example(k=2, L=0, seed=3, rows=12)  # no check columns: every pair ties
+@example(k=6, L=1, seed=2, rows=12)
+@example(k=8, L=2, seed=7, rows=1)  # ties in every block
+@example(k=8, L=2, seed=7, rows=3)  # and across uneven blocks
+@example(k=5, L=64, seed=3, rows=2)  # bit planes of one 64-bit word, full
+@example(k=5, L=65, seed=4, rows=3)  # two words
+@example(k=7, L=128, seed=5, rows=4)
+@example(k=7, L=129, seed=6, rows=12)  # three words
+def test_pair_weights_match_table_count(q, k, L, seed, rows):
+    # the first lightest R[i] + c * R[j], i != j, in (c, i, j) order, by
+    # brute force, with the kernel's blocks cut to ``rows`` rows i, so
+    # that tied pairs fall in different blocks
     m = min(m for p, m in REG.pairs() if p == q)
     st = REG.field(q, m).subfield_tables()
     P = np.random.default_rng(seed).integers(0, q, (k, L)).astype(np.uint8)
-    pws = _pair_weights(P, st)
-    assert pws.shape == (q - 1, k, k)
+    ref = (L + 3, 1, 0, 0)  # k = 1: no pair, above every word
     for c in range(1, q):
         comb = st.add[P[:, None, :], st.mul[c, P][None, :, :]]
-        assert np.array_equal(pws[c - 1], np.count_nonzero(comb, axis=2) + 2)
+        for (i, j), w in np.ndenumerate(np.count_nonzero(comb, axis=2) + 2):
+            if i != j and w < ref[0]:
+                ref = (int(w), c, i, j)
+    block = rows * (q - 1) * k * max(1, -(-L // 64)) * 8  # rows' XOR bytes
+    with mock.patch.object(cyclic, "_BLOCK_BYTES", block):
+        assert _pair_weights(P, st) == ref
 
 
 def _binary_31(*, high_rate):
@@ -1188,6 +1226,51 @@ def test_mitm_level_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+_WARM_FAULTS = """
+import resource
+from dickson_codes import cyclic, verify
+from dickson_codes.dickson import DicksonSpec
+from dickson_codes.galois import ZERO
+from dickson_codes.lfsr import defining_sequence
+from dickson_codes.registry import default_registry
+
+def faults(run):  # minor page faults of a second, warm run
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+reg = default_registry()
+F = reg.field(4, 3)
+code = cyclic.code_from_sequence(defining_sequence(
+    F, DicksonSpec(kind="D", h=11, a=F.parse_element("0"), offset=ZERO)))
+table = cyclic._key_table(code.parity_check_matrix(), F.subfield_tables())
+row = next(r for r in verify.load_table("D3") if r.index == 19)
+errata = verify.load_errata()
+print(faults(lambda: cyclic._mitm_level(code, table, 7)),
+      faults(lambda: verify.process_row(row, reg, errata)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the bounds are those of glibc's allocator")
+def test_warm_distance_kernels_take_few_page_faults():
+    # At glibc's initial mmap threshold, which the benchmark pins, every
+    # block of 128 KiB or more is mapped afresh and its pages faulted and
+    # zeroed on each use.  Row D7/11's level 7 holds 5.4 MB of A's hashes
+    # and a 2 MB filter (about 1,830 faults); with fresh block temporaries
+    # it took about 18,450.  Row D3/19, [124, 117, 4]_5, scores row pairs,
+    # which took about 1,300 faults unblocked.
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
+               PYTHONPATH=str(Path(cyclic.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _WARM_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True).stdout
+    level, row = map(int, out.split())
+    assert level < 4000
+    assert row < 500
 
 
 def _population_guard():
